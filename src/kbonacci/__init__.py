@@ -76,10 +76,9 @@ from .substitution import (
     FixedPointStream,
     Substitution,
     check_recurrence,
-    fixed_prefix,
     is_kbonacci,
     kbonacci,
 )
-from .words import LanguageIndex, build_language, complexity, in_language, special_words
+from .words import LanguageIndex, build_language, in_language
 
 __version__ = "0.1.0"

@@ -81,6 +81,13 @@ def _load_configurations(args: argparse.Namespace, s: Substitution, count: int) 
     return sample_configurations(s, count, args.seed)
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _parse_beta_grid(text: str) -> np.ndarray:
     try:
         lo, hi, points = text.split(":")
@@ -223,26 +230,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=3, help="k-bonacci parameter (>= 2)")
         p.add_argument("--substitution", help="substitution file overriding --k")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="reserved; all commands run single-threaded")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="seed for sampled configurations")
 
     p = sub.add_parser("lang", help="complexity and special-word tables")
     common(p, seed=False)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=non_negative_int, default=12)
     p.set_defaults(func=cmd_lang)
 
     p = sub.add_parser("delta", help="break positions and closed-form checks")
     common(p)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--samples", type=non_negative_int, default=10)
+    p.add_argument("--n-max", type=non_negative_int, default=6)
     p.add_argument("--config", help="file of configuration lines (head=... tail=...)")
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("recog", help="cut-point scans of the fixed point")
     common(p, seed=False)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--window", type=int, default=100_000)
+    p.add_argument("--n-max", type=non_negative_int, default=6)
+    p.add_argument("--window", type=non_negative_int, default=100_000)
     p.set_defaults(func=cmd_recog)
 
     p = sub.add_parser("spectral", help="Perron data and growth coefficients")
@@ -252,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("renorm", help="renormalization iterates")
     common(p)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--n-max", type=non_negative_int, default=20)
+    p.add_argument("--samples", type=non_negative_int, default=5)
     p.add_argument("--config", help="file of configuration lines")
     p.add_argument("--mode", choices=["closed-form", "brute-force", "study"], default="study")
     p.set_defaults(func=cmd_renorm)
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pressure", help="pressure curves and transition report")
     common(p, seed=False)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=non_negative_int, default=10)
     p.add_argument("--beta-grid", type=_parse_beta_grid, default="0.01:64:64")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--statistic", choices=["raw", "excess"], default="raw")

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .potentials import Potential
 from .spectral import growth_decomposition, perron_root
-from .substitution import FixedPointStream, Substitution
+from .substitution import Substitution
 from .words import LanguageIndex
 
 PRESSURE_WORD_BUDGET = 10**7
@@ -46,6 +46,7 @@ def birkhoff_bounds(s: Substitution, V: Potential, n: int) -> tuple[np.ndarray, 
     """
     if n < V.order:
         raise ValueError(f"depth {n} below potential order {V.order}")
+    V.validate_for(s)
     total = s.k**n
     if total > PRESSURE_WORD_BUDGET:
         raise BudgetExceededError(f"{total} windows exceed the sweep budget")
@@ -324,7 +325,7 @@ class RecurrenceReport:
 
 def recurrence_gaps(s: Substitution, L_max: int, window: int) -> RecurrenceReport:
     """Scan occurrence gaps of every factor of length <= L_max in omega."""
-    omega = FixedPointStream(s).prefix(window)
+    omega = s.fixed_prefix(window)
     index = s.language(L_max)
     max_gap = [0] * (L_max + 1)
     pending: list[str] = []

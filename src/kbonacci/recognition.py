@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InconclusiveWindowError, UncertifiedConfigurationError
-from .substitution import FixedPointStream, Substitution, require_kbonacci
+from .substitution import Substitution, require_kbonacci
 from .words import in_language
 
 INFINITE = math.inf
@@ -48,8 +48,7 @@ class Configuration:
         """First `length` letters of the configuration."""
         if self.tail_kind == "orbit":
             off = int(self.tail_data)
-            stream = FixedPointStream(s)
-            return stream.prefix(off + length)[off : off + length]
+            return s.fixed_prefix(off + length)[off:]
         if len(self.head) >= length:
             return self.head[:length]
         tail = str(self.tail_data)
@@ -77,6 +76,8 @@ class Configuration:
     def from_text(cls, text: str) -> "Configuration":
         fields = dict(item.split("=", 1) for item in text.split())
         head = fields.get("head", "")
+        if "tail" not in fields:
+            raise ValueError(f"configuration {text.strip()!r} has no tail=")
         kind, _, data = fields["tail"].partition(":")
         if kind == "orbit":
             return cls("", "orbit", int(data))
@@ -91,27 +92,15 @@ def delta(s: Substitution, x: Configuration) -> int | float:
     """
     if x.in_subshift:
         return INFINITE
-    head = x.head
-    # largest q with head[:q] in the language (membership is prefix-monotone)
-    lo, hi = 0, len(head)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if in_language(s, head[:mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo == len(head):
-        raise UncertifiedConfigurationError(
-            f"head {head!r} lies entirely in the language; break position uncertified"
-        )
-    return lo
+    return brute_delta(s, x.head)
 
 
 def brute_delta(s: Substitution, word: str, start: int = 0) -> int:
     """Largest q with word[start:start+q] in the language.
 
-    Independent scan used as the oracle against the closed forms; raises
-    if the break is not witnessed inside the materialized word.
+    Bisection over the membership oracle (membership is prefix-monotone);
+    the oracle against the closed forms.  Raises if the break is not
+    witnessed inside the word.
     """
     tail = word[start:]
     lo, hi = 0, len(tail)
@@ -122,7 +111,9 @@ def brute_delta(s: Substitution, word: str, start: int = 0) -> int:
         else:
             hi = mid - 1
     if lo == len(tail):
-        raise UncertifiedConfigurationError("materialized word too short to witness the break")
+        raise UncertifiedConfigurationError(
+            f"all {len(tail)} letters lie in the language; break position uncertified"
+        )
     return lo
 
 
@@ -188,15 +179,14 @@ def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
     """Positions where n-th power image blocks of the fixed point start."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = FixedPointStream(s)
     lengths = s.power_lengths(n)
     pts = [0]
     pos = 0
     i = 0
-    omega = stream.prefix(max(window, 1))
+    omega = s.fixed_prefix(max(window, 1))
     while True:
         if i >= len(omega):
-            omega = stream.prefix(2 * len(omega))
+            omega = s.fixed_prefix(2 * len(omega))
         pos += lengths[int(omega[i])]
         if pos >= window:
             break
@@ -218,7 +208,7 @@ def verify_recognizability(s: Substitution, n: int, window: int) -> bool:
         raise InconclusiveWindowError(
             f"window {window} holds fewer than two full n={n} blocks"
         )
-    omega = FixedPointStream(s).prefix(window)
+    omega = s.fixed_prefix(window)
     occ = []
     pos = omega.find(block)
     while pos != -1:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UncertifiedConfigurationError
 from .potentials import Potential
 from .recognition import (
     Configuration,
@@ -27,7 +27,7 @@ from .recognition import (
     INFINITE,
 )
 from .spectral import left_eigenvector, perron_root
-from .substitution import FixedPointStream, Substitution, require_kbonacci
+from .substitution import Substitution, is_kbonacci, require_kbonacci
 
 MODES = ("closed-form", "brute-force")
 
@@ -39,7 +39,7 @@ def substitute_config(s: Substitution, x: Configuration, pad: int = 4) -> Config
     """The configuration s(x), with enough head materialized to stay certified."""
     if x.in_subshift:
         off = int(x.tail_data)
-        omega = FixedPointStream(s).prefix(off)
+        omega = s.fixed_prefix(off)
         new_off = sum(len(s.images[int(c)]) for c in omega)
         return Configuration("", "orbit", new_off)
     ext = x.with_head_length(s, len(x.head) + pad)
@@ -120,6 +120,7 @@ def renorm_power(
     """(R^n V)(x) = sum over j < |s^n(x_0)| of V(sigma^j s^n(x))."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    V.validate_for(s)
     if n == 0:
         return eval_potential(s, V, x)
     if x.in_subshift:
@@ -189,7 +190,7 @@ def _renorm_power_brute(s: Substitution, V: Potential, x: Configuration, n: int)
             try:
                 dj = brute_delta(s, word, j)
                 break
-            except Exception:
+            except UncertifiedConfigurationError:
                 word = _power_prefix(s, x, n, 2 * len(word))
         terms.append(V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha)
     return math.fsum(terms)
@@ -314,15 +315,9 @@ def convergence_study(
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
     rho = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     if rho > 1.0 + ratio_tol:
-        lam = _perron_pair(s.k)[0] if _is_kbonacci(s) else None
+        lam = _perron_pair(s.k)[0] if is_kbonacci(s) else None
         exponent = math.log(rho) / math.log(lam) if lam else math.log(rho)
         return ConvergenceStudy(V.alpha, tuple(rows), "diverges", None, exponent)
     if rho < 1.0 - ratio_tol:
         return ConvergenceStudy(V.alpha, tuple(rows), "vanishes", 0.0, None)
     return ConvergenceStudy(V.alpha, tuple(rows), "converges", values[-1], None)
-
-
-def _is_kbonacci(s: Substitution) -> bool:
-    from .substitution import is_kbonacci
-
-    return is_kbonacci(s)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .substitution import FixedPointStream, Substitution
+from .substitution import Substitution, is_kbonacci
 
 ROOT_TOL = 1e-14
 
@@ -88,8 +88,8 @@ class GrowthDecomposition:
 def growth_decomposition(s: Substitution, n_max: int = 60) -> GrowthDecomposition:
     """Estimate gamma_l from exact matrix-power lengths at n_max and fit the
     remainder decay rate; no words are materialized."""
-    lam = perron_root(s.k) if _looks_kbonacci(s) else _dominant_eigenvalue(s)
-    lengths = [tuple(s.power_lengths(n)) for n in range(n_max + 1)]
+    lam = perron_root(s.k) if is_kbonacci(s) else _dominant_eigenvalue(s)
+    lengths = [s.power_lengths(n) for n in range(n_max + 1)]
     gamma = np.array([lengths[n_max][l] / lam**n_max for l in range(s.k)])
     remainders = np.array(
         [[lengths[n][l] - gamma[l] * lam**n for l in range(s.k)] for n in range(n_max + 1)]
@@ -106,12 +106,6 @@ def growth_decomposition(s: Substitution, n_max: int = 60) -> GrowthDecompositio
         slope = np.polyfit(ns, logs, 1)[0]
         theta_hat = math.exp(slope)
     return GrowthDecomposition(s.k, lam, gamma, tuple(lengths), remainders, theta_hat)
-
-
-def _looks_kbonacci(s: Substitution) -> bool:
-    from .substitution import is_kbonacci
-
-    return is_kbonacci(s)
 
 
 def _dominant_eigenvalue(s: Substitution) -> float:
@@ -138,13 +132,13 @@ def letter_frequencies(s: Substitution) -> np.ndarray:
 
 
 def empirical_letter_frequencies(s: Substitution, window: int) -> np.ndarray:
-    omega = FixedPointStream(s).prefix(window)
+    omega = s.fixed_prefix(window)
     return np.array([omega.count(str(a)) / window for a in range(s.k)])
 
 
 def word_frequency(s: Substitution, w: str, window: int) -> float:
     """Sliding-window frequency of w in the fixed-point prefix of length window."""
-    omega = FixedPointStream(s).prefix(window)
+    omega = s.fixed_prefix(window)
     positions = max(window - len(w) + 1, 1)
     count = 0
     pos = omega.find(w)

@@ -8,7 +8,6 @@ accept larger k directly, see :mod:`kbonacci.spectral`.
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,8 @@ class Substitution:
     Power images s^n(a) are memoized per (n, letter).  The total number of
     cached letters is bounded by ``length_budget``; exceeding it raises
     :class:`BudgetExceededError` instead of silently eating memory
-    (image lengths grow like lambda^n).
+    (image lengths grow like lambda^n).  The instance also owns the table
+    of exact lengths |s^n(a)| and one growable buffer of the fixed point.
     """
 
     def __init__(self, images: Sequence[str], length_budget: int = DEFAULT_LENGTH_BUDGET):
@@ -49,9 +49,10 @@ class Substitution:
         self.images = images
         self.k = k
         self.length_budget = int(length_budget)
-        self._lock = threading.Lock()
         self._power_cache: dict[tuple[int, int], str] = {}
         self._cached_letters = 0
+        self._lengths: list[tuple[int, ...]] = [(1,) * k]  # _lengths[n][a] = |s^n(a)|
+        self._stream: FixedPointStream | None = None
         self._pairs: frozenset[str] | None = None
         self._lang_cache = None  # (depth, LanguageIndex)
 
@@ -71,27 +72,17 @@ class Substitution:
             raise ValueError("power must be nonnegative")
         if n == 0:
             return str(a)
-        with self._lock:
-            return self._power_image_locked(n, a)
-
-    def _power_image_locked(self, n: int, a: int) -> str:
-        key = (n, a)
-        cached = self._power_cache.get(key)
+        cached = self._power_cache.get((n, a))
         if cached is not None:
             return cached
-        if n == 1:
-            word = self.images[a]
-        else:
-            prev = self._power_image_locked(n - 1, a)
-            images = self.images
-            word = "".join(images[int(c)] for c in prev)
-        self._cached_letters += len(word)
-        if self._cached_letters > self.length_budget:
-            self._cached_letters -= len(word)
+        images = self.images
+        word = "".join(images[int(c)] for c in self.power_image(n - 1, a))
+        if self._cached_letters + len(word) > self.length_budget:
             raise BudgetExceededError(
                 f"power-image cache would exceed {self.length_budget} letters at s^{n}({a})"
             )
-        self._power_cache[key] = word
+        self._cached_letters += len(word)
+        self._power_cache[(n, a)] = word
         return word
 
     def apply_power(self, n: int, w: str) -> str:
@@ -100,18 +91,31 @@ class Substitution:
             return w
         return "".join(self.power_image(n, c) for c in w)
 
-    def power_lengths(self, n: int) -> list[int]:
-        """Exact |s^n(a)| for every letter a, via integer recursion.
+    def power_lengths(self, n: int) -> tuple[int, ...]:
+        """Exact |s^n(a)| for every letter a, from the length table.
 
-        Never materializes words, so arbitrary n is fine.
+        The table grows by one step of |s^{m+1}(a)| = sum_{c in s(a)} |s^m(c)|
+        per new level and never materializes words, so arbitrary n is fine.
         """
         if n < 0:
             raise ValueError("power must be nonnegative")
-        lengths = [1] * self.k
-        counts = [[self.images[a].count(str(b)) for b in range(self.k)] for a in range(self.k)]
-        for _ in range(n):
-            lengths = [sum(counts[a][b] * lengths[b] for b in range(self.k)) for a in range(self.k)]
-        return lengths
+        table = self._lengths
+        while len(table) <= n:
+            prev = table[-1]
+            table.append(tuple(sum(prev[int(c)] for c in w) for w in self.images))
+        return table[n]
+
+    def block_level(self, n: int) -> int:
+        """Smallest m >= 1 with |s^m(a)| >= n for every letter a.
+
+        At that level any factor of length n of the fixed point spans at
+        most two m-th image blocks.  Requires image lengths to grow without
+        bound, as they do for a primitive substitution on k >= 2 letters.
+        """
+        m = 1
+        while min(self.power_lengths(m)) < n:
+            m += 1
+        return m
 
     # -- matrix and primitivity ---------------------------------------
 
@@ -136,6 +140,13 @@ class Substitution:
             if len(w) >= 2 and int(w[0]) == a:
                 return a
         raise ValueError("substitution has no expanding fixed-point seed letter")
+
+    def fixed_prefix(self, length: int) -> str:
+        """First `length` letters of the fixed point, from the one stream this
+        substitution keeps and grows on demand."""
+        if self._stream is None:
+            self._stream = FixedPointStream(self)
+        return self._stream.prefix(length)
 
     def pair_language(self) -> frozenset[str]:
         """All length-2 factors of the fixed point, by closure under s."""
@@ -251,12 +262,9 @@ class FixedPointStream:
     entries because s maps prefixes of the fixed point to prefixes.
     """
 
-    def __init__(self, subst: Substitution, seed: int | None = None):
+    def __init__(self, subst: Substitution):
         self.subst = subst
-        self.seed = subst.fixed_point_seed() if seed is None else _as_letter(seed)
-        if int(subst.images[self.seed][0]) != self.seed:
-            raise ValueError(f"s({self.seed}) does not start with {self.seed}")
-        self._buffer = subst.images[self.seed]
+        self._buffer = subst.images[subst.fixed_point_seed()]
 
     def prefix(self, length: int) -> str:
         if length < 0:
@@ -273,8 +281,3 @@ class FixedPointStream:
         self._buffer = buf
         return buf[:length]
 
-
-def fixed_prefix(source: "Substitution | FixedPointStream", length: int) -> str:
-    """Length-`length` prefix of the fixed point of a substitution."""
-    stream = FixedPointStream(source) if isinstance(source, Substitution) else source
-    return stream.prefix(length)

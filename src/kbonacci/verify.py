@@ -35,7 +35,7 @@ from .renorm import (
 )
 from .sampling import sample_configurations
 from .spectral import left_eigenvector, perron_root, tribonacci_cardan
-from .substitution import FixedPointStream, Substitution, check_recurrence, kbonacci
+from .substitution import Substitution, check_recurrence
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,6 @@ def run_all(s: Substitution, suites: list[str] | None = None) -> list[CheckResul
                 results.extend(suite_appendix())
             continue
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'appendix'")
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'appendix'")
         results.extend(SUITES[name](s))
     return results

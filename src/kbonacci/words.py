@@ -20,16 +20,6 @@ from .errors import OutOfIndexError
 from .substitution import Substitution
 
 
-def occurrences(w: str, a) -> int:
-    """Number of occurrences of the letter a in the word w."""
-    return w.count(str(a))
-
-
-def is_factor(u: str, v: str) -> bool:
-    """True iff u occurs contiguously in v (the empty word always does)."""
-    return u in v
-
-
 def in_language(s: Substitution, u: str) -> bool:
     """Exact membership of u in the factor language of s.
 
@@ -43,9 +33,7 @@ def in_language(s: Substitution, u: str) -> bool:
         return False
     if n == 1:
         return True  # every letter occurs, by primitivity
-    m = 1
-    while min(s.power_lengths(m)) < n:
-        m += 1
+    m = s.block_level(n)
     blocks = {a: s.power_image(m, a) for a in range(s.k)}
     for pair in s.pair_language():
         if u in blocks[int(pair[0])] + blocks[int(pair[1])]:
@@ -136,9 +124,7 @@ def build_language(s: Substitution, depth: int) -> LanguageIndex:
     except ValueError:
         pairs = None
     if pairs is not None:
-        m = 1
-        while min(s.power_lengths(m)) < depth:
-            m += 1
+        m = s.block_level(depth)
         for pair in pairs:
             w = s.power_image(m, int(pair[0])) + s.power_image(m, int(pair[1]))
             top.update(w[i : i + depth] for i in range(len(w) - depth + 1))
@@ -150,10 +136,3 @@ def build_language(s: Substitution, depth: int) -> LanguageIndex:
         sets.append(frozenset(level))
     return LanguageIndex(s, depth, tuple(sets))
 
-
-def complexity(index: LanguageIndex, n: int) -> int:
-    return index.complexity(n)
-
-
-def special_words(index: LanguageIndex, n: int):
-    return index.special_words(n)

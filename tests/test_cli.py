@@ -119,3 +119,26 @@ def test_recog_output(capsys):
     assert code == 0
     for line in out.splitlines()[2:]:
         assert line.endswith(",1")
+
+
+def assert_usage_error(capsys, code):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_config_line_without_tail_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "points.txt"
+    cfg.write_text("head=0000\n")
+    assert_usage_error(capsys, main(["delta", "--k", "3", "--config", str(cfg)]))
+
+
+def test_unknown_suite_is_a_usage_error(capsys):
+    assert_usage_error(capsys, main(["verify", "--k", "3", "--suites", "nope"]))
+
+
+@pytest.mark.parametrize("argv", [["lang", "--depth", "-1"], ["delta", "--samples", "-1"]])
+def test_negative_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert_usage_error(capsys, exc.value.code)

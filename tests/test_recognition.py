@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbonacci import (
     Configuration,
@@ -11,6 +12,7 @@ from kbonacci import (
     delta_after_power,
     delta_shifted,
     distance_to_subshift,
+    kbonacci,
     maximal_prefix_after_power,
     tribonacci_appendix_checks,
     verify_recognizability,
@@ -81,6 +83,21 @@ def test_closed_form_equals_scan(s3, s2, s4):
                     assert delta_shifted(s, x, n, j) == brute_delta(s, word, j)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=1), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_delta_shifted_equals_scan_on_random_configurations(k, seed, extra, where):
+    from kbonacci.renorm import _power_prefix
+
+    s = kbonacci(k)
+    x = sample_configurations(s, 1, seed)[0]
+    n = k + extra
+    block = s.power_lengths(n)[int(x.head[0])]
+    j = int(where * block)
+    word = _power_prefix(s, x, n, delta_shifted(s, x, n, 0) + 1)
+    assert delta_shifted(s, x, n, j) == brute_delta(s, word, j)
+
+
 def test_delta_shifted_guards(s3):
     with pytest.raises(ValueError):
         delta_shifted(s3, ZEROS, 2, 0)  # n below k
@@ -101,8 +118,6 @@ def test_cut_points_nested(s3):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_recognizability(k):
-    from kbonacci import kbonacci
-
     s = kbonacci(k)
     for n in range(s.k, s.k + 3):
         assert verify_recognizability(s, n, 20_000)

@@ -6,6 +6,7 @@ from kbonacci import (
     Configuration,
     CylinderFunction,
     Potential,
+    birkhoff_bounds,
     convergence_study,
     eval_potential,
     fixed_point_U,
@@ -34,6 +35,17 @@ def test_potential_validation(s3):
         Potential(1.0, CylinderFunction.constant(1.0), bad_h).validate_for(s3)
     ok_h = CylinderFunction.indicator("000", 1.0)
     Potential(1.0, CylinderFunction.constant(1.0), ok_h).validate_for(s3)
+
+
+def test_entry_points_validate_the_potential(s3):
+    bad = Potential(1.0, CylinderFunction.constant(1.0), CylinderFunction.indicator("01", 1.0))
+    with pytest.raises(ValueError, match="h must vanish"):
+        birkhoff_bounds(s3, bad, 4)
+    for mode in ("closed-form", "brute-force"):
+        with pytest.raises(ValueError, match="h must vanish"):
+            renorm_power(s3, bad, ZEROS, 3, mode=mode)
+    birkhoff_bounds(s3, V0, 4)
+    renorm_power(s3, V0, ZEROS, 3)
 
 
 def test_eval_potential(s3):

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from kbonacci import FixedPointStream, Substitution, check_recurrence, fixed_prefix, kbonacci
+from kbonacci import FixedPointStream, Substitution, check_recurrence, kbonacci
 from kbonacci.errors import BudgetExceededError
 
 
@@ -51,6 +51,8 @@ def test_budget_guard():
     s = kbonacci(2, length_budget=100)
     with pytest.raises(BudgetExceededError):
         s.power_image(40, 0)
+    with pytest.raises(BudgetExceededError):
+        s.fixed_prefix(101)
 
 
 def test_text_roundtrip(s3):
@@ -59,14 +61,14 @@ def test_text_roundtrip(s3):
 
 
 def test_fixed_point_prefixes(s3, s2):
-    assert fixed_prefix(s3, 13) == "0102010010201"
-    assert fixed_prefix(s2, 5) == "01001"
+    assert s3.fixed_prefix(13) == "0102010010201"
+    assert s2.fixed_prefix(5) == "01001"
     stream = FixedPointStream(s3)
-    assert stream.prefix(50) == fixed_prefix(s3, 50)
+    assert stream.prefix(50) == s3.fixed_prefix(50)
 
 
 def test_fixed_point_invariant_under_substitution(s3):
-    omega = fixed_prefix(s3, 200)
+    omega = s3.fixed_prefix(200)
     assert s3.apply(omega).startswith(omega)
 
 
@@ -83,3 +85,35 @@ def test_apply_is_a_morphism(u, v):
 def test_power_images_compose(m, n):
     s = kbonacci(3)
     assert s.apply_power(m, s.power_image(n, 0)) == s.power_image(m + n, 0)
+
+
+# Oracles for the caches a Substitution keeps: each request order below
+# grows the shared table or buffer differently, and no answer may depend
+# on what was asked before.
+ks = st.integers(min_value=2, max_value=4)
+
+
+@settings(deadline=None)
+@given(ks, st.lists(st.integers(min_value=0, max_value=14), min_size=1, max_size=12))
+def test_power_lengths_table_matches_images(k, levels):
+    s = kbonacci(k)
+    for n in levels:
+        assert s.power_lengths(n) == tuple(len(s.power_image(n, a)) for a in range(k))
+
+
+@settings(deadline=None)
+@given(ks, st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=12))
+def test_block_level_is_minimal(k, requests):
+    s = kbonacci(k)
+    for n in requests:
+        m = s.block_level(n)
+        assert m >= 1 and min(s.power_lengths(m)) >= n
+        assert m == 1 or min(s.power_lengths(m - 1)) < n
+
+
+@settings(deadline=None)
+@given(ks, st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=12))
+def test_shared_fixed_point_buffer_matches_fresh_stream(k, requests):
+    s = kbonacci(k)
+    for length in requests:
+        assert s.fixed_prefix(length) == FixedPointStream(s).prefix(length)

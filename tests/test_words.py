@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbonacci import build_language, fixed_prefix, in_language, kbonacci
+from kbonacci import build_language, in_language, kbonacci
 from kbonacci.errors import OutOfIndexError
 
 
 def naive_factors(s, depth, window=4000):
     """Factors of a long fixed-point prefix, the simplest possible oracle."""
-    omega = fixed_prefix(s, window)
+    omega = s.fixed_prefix(window)
     out = {n: set() for n in range(1, depth + 1)}
     for n in range(1, depth + 1):
         for i in range(len(omega) - n + 1):
