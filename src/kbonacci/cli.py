@@ -91,9 +91,12 @@ def non_negative_int(text: str) -> int:
 def _parse_beta_grid(text: str) -> np.ndarray:
     try:
         lo, hi, points = text.split(":")
-        return np.geomspace(float(lo), float(hi), int(points))
+        grid = np.geomspace(float(lo), float(hi), int(points))
     except ValueError as exc:
         raise argparse.ArgumentTypeError("beta grid must look like 0.01:64:64") from exc
+    if grid.size == 0:
+        raise argparse.ArgumentTypeError("beta grid needs at least 1 point")
+    return grid
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -284,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if isinstance(getattr(args, "beta_grid", None), str):
-        args.beta_grid = _parse_beta_grid(args.beta_grid)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -33,7 +33,8 @@ class Substitution:
     cached letters is bounded by ``length_budget``; exceeding it raises
     :class:`BudgetExceededError` instead of silently eating memory
     (image lengths grow like lambda^n).  The instance also owns the table
-    of exact lengths |s^n(a)| and one growable buffer of the fixed point.
+    of exact lengths |s^n(a)|, one growable buffer of the fixed point and
+    the two-block words that describe the language.
     """
 
     def __init__(self, images: Sequence[str], length_budget: int = DEFAULT_LENGTH_BUDGET):
@@ -54,6 +55,7 @@ class Substitution:
         self._lengths: list[tuple[int, ...]] = [(1,) * k]  # _lengths[n][a] = |s^n(a)|
         self._stream: FixedPointStream | None = None
         self._pairs: frozenset[str] | None = None
+        self._two_blocks: dict[int, tuple[str, ...]] = {}  # block level m -> words
         self._lang_cache = None  # (depth, LanguageIndex)
 
     # -- basic morphism operations ------------------------------------
@@ -149,21 +151,39 @@ class Substitution:
         return self._stream.prefix(length)
 
     def pair_language(self) -> frozenset[str]:
-        """All length-2 factors of the fixed point, by closure under s."""
+        """All length-2 factors of the language, by closure under s.
+
+        Starts from the 2-factors of the letter images; this is exact for a
+        primitive substitution, because every 2-factor of s^n(c) lies inside
+        some s(d) or across s(d)s(e) for a 2-factor de.  Raises ValueError
+        unless s is primitive with image lengths that grow.
+        """
         if self._pairs is not None:
             return self._pairs
-        seed = self.fixed_point_seed()
-        pairs = {self.images[seed][:2]}
-        while True:
-            new = set(pairs)
-            for p in pairs:
-                img = self.apply(p)
-                new.update(img[i : i + 2] for i in range(len(img) - 1))
-            if new == pairs:
-                break
-            pairs = new
+        if not self.is_primitive() or all(len(w) == 1 for w in self.images):
+            raise ValueError("language construction requires a primitive, expanding substitution")
+        pairs: set[str] = set()
+        words = self.images
+        while new := {w[i : i + 2] for w in words for i in range(len(w) - 1)} - pairs:
+            pairs |= new
+            words = [self.apply(p) for p in new]
         self._pairs = frozenset(pairs)
         return self._pairs
+
+    def two_blocks(self, n: int) -> tuple[str, ...]:
+        """The words s^m(a) s^m(b) for the 2-factors ab, m = block_level(n).
+
+        Every language word of length <= n spans at most two m-th blocks of
+        some s^N(c), so the language words of length <= n are exactly the
+        factors of these words.  Cached per level m.
+        """
+        pairs = self.pair_language()
+        m = self.block_level(n)
+        words = self._two_blocks.get(m)
+        if words is None:
+            words = tuple(self.power_image(m, p[0]) + self.power_image(m, p[1]) for p in sorted(pairs))
+            self._two_blocks[m] = words
+        return words
 
     def language(self, depth: int):
         """A LanguageIndex for this substitution, cached and grown on demand."""

@@ -142,3 +142,21 @@ def test_negative_count_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert_usage_error(capsys, exc.value.code)
+
+
+@pytest.mark.parametrize("command", ["delta", "renorm"])
+def test_non_primitive_substitution_is_a_usage_error(command, tmp_path, capsys):
+    sub = tmp_path / "non_primitive.txt"
+    sub.write_text("3\n01\n1\n2\n")
+    cfg = tmp_path / "points.txt"
+    cfg.write_text("head=0000 tail=const:0\n")
+    code = main([command, "--substitution", str(sub), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_empty_beta_grid_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pressure", "--beta-grid", "0.01:64:0"])
+    assert_usage_error(capsys, exc.value.code)

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbonacci import build_language, in_language, kbonacci
+from kbonacci import Configuration, Substitution, build_language, in_language, kbonacci
 from kbonacci.errors import OutOfIndexError
+from kbonacci.recognition import delta
 
 
 def naive_factors(s, depth, window=4000):
@@ -94,3 +97,41 @@ def test_language_closed_under_substitution(s3):
     for n in range(1, 7):
         for w in index.words(n):
             assert in_language(s3, s3.apply(w))
+
+
+@pytest.mark.parametrize("images", [("01", "1", "2"), ("0",)])
+def test_non_primitive_substitution_is_rejected(images):
+    s = Substitution(images)
+    with pytest.raises(ValueError):
+        in_language(s, "00")
+    with pytest.raises(ValueError):
+        delta(s, Configuration("0000", "const", "0"))
+    with pytest.raises(ValueError):
+        build_language(s, 3)
+
+
+def long_word_factors(s, n):
+    """Factors of length n of s^N(0) with |s^N(0)| >= 4000; needs no fixed point."""
+    level = 0
+    while len(s.power_image(level, 0)) < 4000:
+        level += 1
+    word = s.power_image(level, 0)
+    return {word[i : i + n] for i in range(len(word) - n + 1)}
+
+
+ORACLE_SUBSTITUTIONS = [kbonacci(k).images for k in range(2, 6)] + [("01", "10"), ("1", "01")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ORACLE_SUBSTITUTIONS), st.integers(min_value=0, max_value=30))
+def test_language_matches_long_word_factors(images, depth):
+    s = Substitution(images)
+    oracle = [long_word_factors(s, n) for n in range(max(depth, 6) + 1)]
+    index = s.language(depth)
+    for n in range(depth + 1):
+        assert index.words(n) == oracle[n]
+    letters = "".join(str(a) for a in range(s.k))
+    for n in range(7):
+        for tup in itertools.product(letters, repeat=n):
+            w = "".join(tup)
+            assert in_language(s, w) == (w in oracle[n])
