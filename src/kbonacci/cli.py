@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import sys
 
 import numpy as np
@@ -91,12 +90,15 @@ def non_negative_int(text: str) -> int:
 def _parse_beta_grid(text: str) -> np.ndarray:
     try:
         lo, hi, points = text.split(":")
-        grid = np.geomspace(float(lo), float(hi), int(points))
+        ends = float(lo), float(hi)
+        points = int(points)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("beta grid must look like 0.01:64:64") from exc
-    if grid.size == 0:
+    if not all(0 < end < np.inf for end in ends):
+        raise argparse.ArgumentTypeError("beta grid ends must be positive and finite")
+    if points < 1:
         raise argparse.ArgumentTypeError("beta grid needs at least 1 point")
-    return grid
+    return np.geomspace(*ends, points)
 
 
 # -- subcommands ---------------------------------------------------------------

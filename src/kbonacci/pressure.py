@@ -13,7 +13,7 @@ it.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .potentials import Potential
-from .spectral import growth_decomposition, perron_root
+from .spectral import growth_decomposition
 from .substitution import Substitution
-from .words import LanguageIndex
 
 PRESSURE_WORD_BUDGET = 10**7
 DEFAULT_TOL = 1e-3
@@ -43,50 +42,55 @@ def birkhoff_bounds(s: Substitution, V: Potential, n: int) -> tuple[np.ndarray, 
     sits inside u (then both bounds use the exact value) or u lies in
     the language, in which case the term is bracketed by
     [0, max(g + h) / |u|^alpha].
+
+    Terms are tabled per suffix length m over the k^m words in
+    lexicographic order: u[:-1] has index index(u) // k, w[n-m:] has
+    index index(w) mod k^m, and as the language is closed under
+    prefixes, break(u) = |u| on the language and break(u[:-1]) off it.
     """
     if n < V.order:
         raise ValueError(f"depth {n} below potential order {V.order}")
     V.validate_for(s)
-    total = s.k**n
+    k = s.k
+    total = k**n
     if total > PRESSURE_WORD_BUDGET:
         raise BudgetExceededError(f"{total} windows exceed the sweep budget")
     index = s.language(n)
-    sets = [index.words(m) for m in range(n + 1)]
-    max_numer = V.numerator_range("", s.k)[1]
-    alpha = V.alpha
-
-    @functools.lru_cache(maxsize=None)
-    def suffix_terms(u: str) -> tuple[float, float]:
-        """(lower, upper) bound on V over the cylinder [u]."""
-        m = len(u)
-        if u in sets[m]:
-            return 0.0, max_numer / float(m) ** alpha
-        lo, hi = 0, m
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if u[:mid] in sets[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        num_lo, num_hi = V.numerator_range(u, s.k)
-        d = float(lo) ** alpha
-        return num_lo / d, num_hi / d
-
-    import itertools
-
-    letters = [str(a) for a in range(s.k)]
-    s_lo = np.empty(total)
-    s_hi = np.empty(total)
-    for idx, tup in enumerate(itertools.product(letters, repeat=n)):
-        word = "".join(tup)
-        lo0 = hi0 = 0.0
-        for i in range(n):
-            a, b = suffix_terms(word[i:])
-            lo0 += a
-            hi0 += b
-        s_lo[idx] = lo0
-        s_hi[idx] = hi0
+    max_numer = V.numerator_range("", k)[1]
+    # Python's float power, not np.power, so the sums equal those of the
+    # per-suffix enumeration in tests/test_pressure.py bit for bit.
+    powers = np.array([float(q) ** V.alpha for q in range(n + 1)])
+    letters = [str(a) for a in range(k)]
+    breaks = np.zeros(1, dtype=np.int64)
+    tables = []
+    for m in range(1, n + 1):
+        inside = np.zeros(k**m, dtype=bool)
+        inside[[_lex_index(u, k) for u in index.words(m)]] = True
+        breaks = np.where(inside, m, np.repeat(breaks, k))
+        # numerator_range(u) only reads u[:order]
+        r = min(m, V.order)
+        prefixes = ("".join(p) for p in itertools.product(letters, repeat=r))
+        numer = np.array([V.numerator_range(p, k) for p in prefixes])
+        num_lo, num_hi = np.repeat(numer, k ** (m - r), axis=0).T
+        d = powers[breaks]
+        lo_m = np.where(inside, 0.0, num_lo / d)
+        hi_m = np.where(inside, max_numer / powers[m], num_hi / d)
+        tables.append((lo_m, hi_m))
+    s_lo = np.zeros(total)
+    s_hi = np.zeros(total)
+    # suffixes w[0:], w[1:], ..., w[n-1:]: the enumeration's summation order
+    for lo_m, hi_m in reversed(tables):
+        s_lo += np.tile(lo_m, total // lo_m.size)
+        s_hi += np.tile(hi_m, total // hi_m.size)
     return s_lo, s_hi
+
+
+def _lex_index(u: str, k: int) -> int:
+    """Index of u among the k^|u| words of its length in lexicographic order."""
+    code = 0
+    for a in u:
+        code = code * k + int(a)
+    return code
 
 
 def _log_mean_exp(values: np.ndarray) -> float:
@@ -200,14 +204,6 @@ class BetaCReport:
     crossed: bool
     beta_c: float | None
     bracket: tuple[float, float] | None
-
-    @property
-    def convexity_ok(self) -> bool:
-        return self.curve.is_convex
-
-    @property
-    def monotonicity_ok(self) -> bool:
-        return self.curve.is_monotone
 
     def plateau_excess(self, beta: float) -> float:
         """Upper-estimate excess over the floor at the largest grid point <= beta."""

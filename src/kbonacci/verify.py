@@ -21,7 +21,6 @@ from .pressure import (
     verify_ladder,
 )
 from .recognition import (
-    Configuration,
     brute_delta,
     cut_points,
     delta_shifted,

@@ -124,7 +124,7 @@ def test_recog_output(capsys):
 def assert_usage_error(capsys, code):
     err = capsys.readouterr().err
     assert code == 2
-    assert "error:" in err and "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_config_line_without_tail_is_a_usage_error(tmp_path, capsys):
@@ -160,3 +160,17 @@ def test_empty_beta_grid_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pressure", "--beta-grid", "0.01:64:0"])
     assert_usage_error(capsys, exc.value.code)
+
+
+@pytest.mark.parametrize("grid", ["-1:3:3", "0:3:3", "1:nan:3", "nan:3:3", "1:inf:3"])
+def test_non_positive_or_non_finite_beta_grid_is_a_usage_error(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pressure", "--k", "2", "--depth", "4", f"--beta-grid={grid}"])
+    assert_usage_error(capsys, exc.value.code)
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("command", [["pressure", "--depth", "4", "--beta-grid", "0.01:1:2"],
+                                     ["renorm", "--samples", "1", "--n-max", "3"]])
+def test_non_finite_alpha_is_a_usage_error(command, alpha, capsys):
+    assert_usage_error(capsys, main([*command, "--k", "2", "--alpha", alpha]))

@@ -1,16 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbonacci import (
     Potential,
+    Substitution,
     bispecial_ladder,
     bispecial_length_law,
     birkhoff_bounds,
     brute_bispecials,
     default_beta_grid,
     find_beta_c,
+    in_language,
+    kbonacci,
     overlap_length,
     overlap_ratios,
     perron_root,
@@ -20,6 +25,7 @@ from kbonacci import (
     verify_ladder,
 )
 from kbonacci.errors import BudgetExceededError
+from kbonacci.potentials import CylinderFunction
 
 V0 = Potential.v0(1.0)
 
@@ -42,6 +48,79 @@ def test_birkhoff_language_words_have_zero_lower_sum(s2):
     s_lo, _ = birkhoff_bounds(s2, V0, n)
     # exactly the language words of length n leave the bracket fully open
     assert int((s_lo == 0.0).sum()) == len(s2.language(n).words(n))
+
+
+def enumerated_bounds(s, V, n):
+    """Oracle for birkhoff_bounds: every suffix of every window, its break
+    found by bisecting over in_language."""
+    max_numer = V.numerator_range("", s.k)[1]
+    letters = [str(a) for a in range(s.k)]
+    s_lo, s_hi = [], []
+    for tup in itertools.product(letters, repeat=n):
+        word = "".join(tup)
+        lo_sum = hi_sum = 0.0
+        for i in range(n):
+            u = word[i:]
+            m = len(u)
+            if in_language(s, u):
+                a, b = 0.0, max_numer / float(m) ** V.alpha
+            else:
+                lo, hi = 0, m
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    if in_language(s, u[:mid]):
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                num_lo, num_hi = V.numerator_range(u, s.k)
+                d = float(lo) ** V.alpha
+                a, b = num_lo / d, num_hi / d
+            lo_sum += a
+            hi_sum += b
+        s_lo.append(lo_sum)
+        s_hi.append(hi_sum)
+    return np.array(s_lo), np.array(s_hi)
+
+
+# (substitution, largest depth): two-letter alphabets up to n = 10, three letters up to n = 7
+ORACLE_CASES = [
+    (kbonacci(2), 10),
+    (kbonacci(3), 7),
+    (Substitution(("01", "10")), 10),
+    (Substitution(("1", "01")), 10),
+]
+
+
+@st.composite
+def order_two_potential(draw, s, alpha):
+    """g > 0 on every 2-window; h >= 0 off the language and 0 on it."""
+    windows = ["".join(p) for p in itertools.product([str(a) for a in range(s.k)], repeat=2)]
+    values = st.floats(min_value=0.01, max_value=10.0)
+    g = {w: draw(values) for w in windows}
+    h = {w: draw(values) for w in windows if not in_language(s, w)}
+    return Potential(alpha, CylinderFunction(2, g), CylinderFunction(2, h, default=0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_birkhoff_bounds_equal_enumeration(data):
+    s, n_max = data.draw(st.sampled_from(ORACLE_CASES))
+    alpha = data.draw(st.floats(min_value=0.05, max_value=4.0))
+    V = data.draw(st.one_of(st.just(Potential.v0(alpha)), order_two_potential(s, alpha)))
+    n = data.draw(st.integers(min_value=V.order, max_value=n_max))
+    s_lo, s_hi = birkhoff_bounds(s, V, n)
+    o_lo, o_hi = enumerated_bounds(s, V, n)
+    assert np.array_equal(s_lo, o_lo)
+    assert np.array_equal(s_hi, o_hi)
+
+
+def test_birkhoff_bounds_one_letter():
+    s = Substitution(("00",))
+    for n in (1, 2, 6):
+        s_lo, s_hi = birkhoff_bounds(s, V0, n)
+        assert s_lo.shape == (1,) and np.all(s_lo == 0.0)
+        o_lo, o_hi = enumerated_bounds(s, V0, n)
+        assert np.array_equal(s_lo, o_lo) and np.array_equal(s_hi, o_hi)
 
 
 def test_budget_guard(s3):
