@@ -55,9 +55,11 @@ class CsvWriter:
             sys.stdout.write(text)
 
 
-def _config_line(args: argparse.Namespace) -> str:
+def _config_line(args: argparse.Namespace, s: Substitution) -> str:
+    """The resolved options; `k` is the loaded substitution's, which a
+    --substitution file sets in place of --k."""
     pairs = []
-    for key, value in sorted(vars(args).items()):
+    for key, value in sorted({**vars(args), "k": s.k}.items()):
         if key in ("func", "out") or value is None:
             continue
         if isinstance(value, np.ndarray):
@@ -76,7 +78,12 @@ def _load_substitution(args: argparse.Namespace) -> Substitution:
 def _load_configurations(args: argparse.Namespace, s: Substitution, count: int) -> list[Configuration]:
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            return [Configuration.from_text(line) for line in fh if line.strip()]
+            configs = [Configuration.from_text(line) for line in fh if line.strip()]
+        letters = {str(a) for a in range(s.k)}
+        for x in configs:
+            if not x.in_subshift and not set(x.head + str(x.tail_data)) <= letters:
+                raise ValueError(f"configuration {x.to_text()!r} uses letters outside the alphabet of size {s.k}")
+        return configs
     return sample_configurations(s, count, args.seed)
 
 
@@ -107,7 +114,7 @@ def _parse_beta_grid(text: str) -> np.ndarray:
 def cmd_lang(args) -> int:
     s = _load_substitution(args)
     index = s.language(args.depth + 1)
-    w = CsvWriter(_config_line(args))
+    w = CsvWriter(_config_line(args, s))
     w.row("n", "complexity", "left_special", "right_special", "bispecial")
     for n in range(1, args.depth + 1):
         left, right, bi = index.special_words(n)
@@ -119,7 +126,7 @@ def cmd_lang(args) -> int:
 def cmd_delta(args) -> int:
     s = _load_substitution(args)
     configs = _load_configurations(args, s, args.samples)
-    w = CsvWriter(_config_line(args))
+    w = CsvWriter(_config_line(args, s))
     w.row("x_id", "configuration", "delta", "n", "delta_after_power")
     for i, x in enumerate(configs):
         d = delta(s, x)
@@ -131,11 +138,11 @@ def cmd_delta(args) -> int:
 
 def cmd_recog(args) -> int:
     s = _load_substitution(args)
-    w = CsvWriter(_config_line(args))
+    w = CsvWriter(_config_line(args, s))
     w.row("n", "window", "cut_count", "recognizable")
     for n in range(s.k, args.n_max + 1):
         cuts = cut_points(s, n, args.window)
-        ok = verify_recognizability(s, n, args.window)
+        ok = verify_recognizability(s, n, args.window, cuts)
         w.row(n, args.window, len(cuts.points), int(ok))
     w.dump(args.out)
     return EXIT_OK
@@ -144,7 +151,7 @@ def cmd_recog(args) -> int:
 def cmd_spectral(args) -> int:
     s = _load_substitution(args)
     data = spectral_data(s)
-    w = CsvWriter(_config_line(args))
+    w = CsvWriter(_config_line(args, s))
     w.row("quantity", "index", "value")
     w.row("lambda", "", data.lam)
     for l, value in enumerate(data.v):
@@ -161,7 +168,7 @@ def cmd_renorm(args) -> int:
     s = _load_substitution(args)
     configs = _load_configurations(args, s, args.samples)
     V = Potential.v0(args.alpha)
-    w = CsvWriter(_config_line(args))
+    w = CsvWriter(_config_line(args, s))
     w.row("k", "alpha", "n", "x_id", "value", "method")
     for i, x in enumerate(configs):
         if args.mode == "study":
@@ -182,7 +189,7 @@ def cmd_pressure(args) -> int:
     V = Potential.v0(args.alpha)
     curve = pressure_curve(s, V, args.depth, args.beta_grid)
     report = find_beta_c(s, V, args.depth, tol=args.tol, betas=args.beta_grid, statistic=args.statistic)
-    w = CsvWriter(_config_line(args))
+    w = CsvWriter(_config_line(args, s))
     w.row("k", "alpha", "n", "beta", "P_low", "P_high")
     for beta, lo, hi in curve.rows():
         w.row(s.k, args.alpha, args.depth, beta, lo, hi)

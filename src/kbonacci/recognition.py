@@ -6,7 +6,10 @@ fixed point, and recognizability scans.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InconclusiveWindowError, UncertifiedConfigurationError
 from .substitution import Substitution, require_kbonacci
@@ -37,7 +40,12 @@ class Configuration:
     def __post_init__(self):
         if self.tail_kind not in ("const", "periodic", "orbit"):
             raise ValueError(f"unknown tail kind {self.tail_kind!r}")
-        if self.tail_kind == "periodic" and not str(self.tail_data):
+        if self.tail_kind == "orbit":
+            if int(self.tail_data) < 0:
+                raise ValueError(f"orbit offset must be nonnegative, got {self.tail_data}")
+        elif self.tail_kind == "const" and len(str(self.tail_data)) != 1:
+            raise ValueError(f"const tail needs exactly one letter, got {self.tail_data!r}")
+        elif not str(self.tail_data):
             raise ValueError("periodic tail needs a nonempty period word")
 
     @property
@@ -172,37 +180,39 @@ class CutPointSet:
     points: tuple[int, ...]
 
     def __contains__(self, d: int) -> bool:
-        return d in set(self.points)
+        i = bisect_left(self.points, d)
+        return i < len(self.points) and self.points[i] == d
 
 
 def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
-    """Positions where n-th power image blocks of the fixed point start."""
+    """Positions where n-th power image blocks of the fixed point start:
+    0 and the partial sums of |s^n(omega_i)| below the window."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lengths = s.power_lengths(n)
-    pts = [0]
-    pos = 0
-    i = 0
-    omega = s.fixed_prefix(max(window, 1))
-    while True:
-        if i >= len(omega):
-            omega = s.fixed_prefix(2 * len(omega))
-        pos += lengths[int(omega[i])]
-        if pos >= window:
-            break
-        pts.append(pos)
-        i += 1
-    return CutPointSet(n, window, tuple(pts))
+    # Clipping each length to the window leaves the sums below it unchanged
+    # and keeps lengths past 2^63 out of int64.  The i-th sum is at least
+    # i times the shortest length, so the sums below the window come from
+    # the first (window - 1) // shortest letters of omega.
+    clipped = [min(length, window) for length in s.power_lengths(n)]
+    letters = max(window - 1, 0) // max(min(clipped), 1)
+    omega = np.frombuffer(s.fixed_prefix(letters).encode("ascii"), dtype=np.uint8) - ord("0")
+    ends = np.cumsum(np.array(clipped, dtype=np.int64)[omega])
+    return CutPointSet(n, window, (0, *ends[: np.searchsorted(ends, window)].tolist()))
 
 
-def verify_recognizability(s: Substitution, n: int, window: int) -> bool:
+def verify_recognizability(s: Substitution, n: int, window: int, cuts: CutPointSet | None = None) -> bool:
     """Occurrences of s^n(0) in the fixed-point window are exactly the cut
-    points of the n-th blocks (recognizability, valid for n >= k)."""
+    points of the n-th blocks (recognizability, valid for n >= k).  A
+    caller that already holds ``cut_points(s, n, window)`` passes it as
+    `cuts`."""
     require_kbonacci(s)
     if n < s.k:
         raise ValueError(f"recognizability scan requires n >= k = {s.k}")
     block = s.power_image(n, 0)
-    cuts = cut_points(s, n, window)
+    if cuts is None:
+        cuts = cut_points(s, n, window)
+    elif (cuts.n, cuts.window) != (n, window):
+        raise ValueError(f"cut points of n={cuts.n}, window={cuts.window} passed for n={n}, window={window}")
     usable = [d for d in cuts.points if d + len(block) <= window]
     if len(usable) < 2:
         raise InconclusiveWindowError(

@@ -19,6 +19,14 @@ MAX_ALPHABET = 10
 DEFAULT_LENGTH_BUDGET = 10**8
 
 
+class _ImageTable(dict):
+    """``str.translate`` table from letter code to image.  A missing letter
+    raises ValueError: translate passes a LookupError's letter through."""
+
+    def __missing__(self, code: int):
+        raise ValueError(f"letter {chr(code)!r} is outside the alphabet")
+
+
 def _as_letter(a) -> int:
     a = int(a)
     if a < 0:
@@ -49,6 +57,7 @@ class Substitution:
                 raise ValueError(f"image of {a} ({w!r}) uses letters outside the alphabet")
         self.images = images
         self.k = k
+        self._table = _ImageTable((ord(str(a)), w) for a, w in enumerate(images))
         self.length_budget = int(length_budget)
         self._power_cache: dict[tuple[int, int], str] = {}
         self._cached_letters = 0
@@ -61,9 +70,9 @@ class Substitution:
     # -- basic morphism operations ------------------------------------
 
     def apply(self, w: str) -> str:
-        """Image of a finite word: concatenation of the letter images."""
-        images = self.images
-        return "".join(images[int(c)] for c in w)
+        """Image of a finite word: concatenation of the letter images.
+        Raises ValueError on a letter outside the alphabet."""
+        return w.translate(self._table)
 
     def power_image(self, n: int, a) -> str:
         """s^n(a), with s^0 the identity.  Cached."""
@@ -77,8 +86,7 @@ class Substitution:
         cached = self._power_cache.get((n, a))
         if cached is not None:
             return cached
-        images = self.images
-        word = "".join(images[int(c)] for c in self.power_image(n - 1, a))
+        word = self.power_image(n - 1, a).translate(self._table)
         if self._cached_letters + len(word) > self.length_budget:
             raise BudgetExceededError(
                 f"power-image cache would exceed {self.length_budget} letters at s^{n}({a})"

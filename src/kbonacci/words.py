@@ -5,12 +5,14 @@ words of length <= n are exactly the factors of the finitely many words
 s^m(a) s^m(b), ab a 2-factor, at the level m where every m-th image is
 at least n long.  :func:`in_language` searches those words, and
 :class:`LanguageIndex` stores their per-length factor sets up to a
-caller-chosen depth N; queries past N raise instead of recomputing, so
-the cost profile stays predictable.
+caller-chosen depth N, built top-down from the length-N layer; queries
+past N raise instead of recomputing, so the cost profile stays
+predictable.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import OutOfIndexError
@@ -48,25 +50,27 @@ class LanguageIndex:
         """(left-specials, right-specials, bispecials) among length-n factors."""
         if n + 1 > self.depth:
             raise OutOfIndexError(f"classifying length {n} needs depth {n + 1}, have {self.depth}")
-        longer = self._sets[n + 1]
-        letters = [str(a) for a in range(self.subst.k)]
-        left, right = set(), set()
-        for w in self._sets[n]:
-            if sum(1 for a in letters if a + w in longer) >= 2:
-                left.add(w)
-            if sum(1 for a in letters if w + a in longer) >= 2:
-                right.add(w)
-        return frozenset(left), frozenset(right), frozenset(left & right)
+        # A length-n word has as many left (right) extensions as there are
+        # length-(n+1) words u with u[1:] (u[:-1]) equal to it.
+        longer = self.words(n + 1)
+        left = frozenset(w for w, c in Counter(u[1:] for u in longer).items() if c >= 2)
+        right = frozenset(w for w, c in Counter(u[:-1] for u in longer).items() if c >= 2)
+        return left, right, left & right
 
 
 def build_language(s: Substitution, depth: int) -> LanguageIndex:
-    """Index every factor of length <= depth of the language of s: the
-    length-n factors of ``s.two_blocks(depth)`` for n = 0..depth."""
+    """Index every factor of length <= depth of the language of s.
+
+    The length-depth factors are sliced out of ``s.two_blocks(depth)``;
+    each shorter layer is the set of prefixes u[:-1] of the layer above.
+    That is exact because the language of a primitive substitution is
+    right-extendable: every word is a prefix of a word one letter longer.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    blocks = s.two_blocks(depth)
-    sets = tuple(
-        frozenset(w[i : i + n] for w in blocks for i in range(len(w) - n + 1))
-        for n in range(depth + 1)
-    )
-    return LanguageIndex(s, depth, sets)
+    layer = frozenset(w[i : i + depth] for w in s.two_blocks(depth) for i in range(len(w) - depth + 1))
+    sets = [layer]
+    for _ in range(depth):
+        layer = frozenset(u[:-1] for u in layer)
+        sets.append(layer)
+    return LanguageIndex(s, depth, tuple(reversed(sets)))

@@ -174,3 +174,21 @@ def test_non_positive_or_non_finite_beta_grid_is_a_usage_error(grid, capsys):
                                      ["renorm", "--samples", "1", "--n-max", "3"]])
 def test_non_finite_alpha_is_a_usage_error(command, alpha, capsys):
     assert_usage_error(capsys, main([*command, "--k", "2", "--alpha", alpha]))
+
+
+@pytest.mark.parametrize("command", ["delta", "renorm"])
+@pytest.mark.parametrize("line", ["head=0190 tail=const:0", "head=0000 tail=periodic:012",
+                                  "head=0000 tail=const:", "head=0000 tail=const:01", "head= tail=orbit:-3"])
+def test_bad_configuration_is_a_usage_error(command, line, tmp_path, capsys):
+    cfg = tmp_path / "points.txt"
+    cfg.write_text(line + "\n")
+    assert_usage_error(capsys, main([command, "--k", "2", "--config", str(cfg)]))
+
+
+def test_options_line_records_the_loaded_substitutions_k(tmp_path, capsys):
+    sub = tmp_path / "one_letter.txt"
+    sub.write_text("1\n00\n")
+    code, out = run(capsys, "pressure", "--substitution", str(sub), "--depth", "4", "--beta-grid", "0.01:1:2")
+    assert code == 0
+    options, _, first_row = out.splitlines()[:3]
+    assert " k=1 " in options and first_row.startswith("1,")

@@ -1,10 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import (
     Configuration,
+    CutPointSet,
+    Substitution,
     INFINITE,
     brute_delta,
     cut_points,
@@ -108,6 +110,59 @@ def test_delta_shifted_guards(s3):
 def test_cut_points(s3):
     assert cut_points(s3, 1, 10).points == (0, 2, 4, 6, 7, 9)
     assert 0 in cut_points(s3, 3, 100)
+
+
+def looped_cut_points(s, n, window):
+    """The per-letter scan cut_points replaced, kept as its oracle."""
+    lengths = s.power_lengths(n)
+    pts = [0]
+    pos = 0
+    i = 0
+    omega = s.fixed_prefix(max(window, 1))
+    while True:
+        if i >= len(omega):
+            omega = s.fixed_prefix(2 * len(omega))
+        pos += lengths[int(omega[i])]
+        if pos >= window:
+            break
+        pts.append(pos)
+        i += 1
+    return tuple(pts)
+
+
+CUT_SUBSTITUTIONS = [kbonacci(k).images for k in range(2, 6)] + [
+    ("01", "10"), ("01", "00"), ("1", "01"), ("02", "0", "01")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CUT_SUBSTITUTIONS), st.sampled_from([1, 2, 5, 13, 40, 100]),
+       st.one_of(st.sampled_from([0, 1, 12345]), st.integers(min_value=0, max_value=3000)))
+@example(("01", "10"), 2, 12345)  # every block 4 long and 4 | 12344: the last point is 12344
+@example(kbonacci(2).images, 100, 12345)  # |s^100(0)| is about 5.7e20, past 2^63
+def test_cut_points_match_letter_loop(images, n, window):
+    s = Substitution(images)
+    try:
+        expected = looped_cut_points(s, n, window)
+    except ValueError:  # no fixed-point seed letter, as for 0 -> 1, 1 -> 01
+        with pytest.raises(ValueError):
+            cut_points(s, n, window)
+        return
+    cuts = cut_points(s, n, window)
+    assert cuts.points == expected
+    assert all(type(d) is int for d in cuts.points)
+
+
+def test_cut_point_membership():
+    cuts = CutPointSet(1, 10, (0, 2, 4, 6, 7, 9))
+    assert [d for d in range(-2, 13) if d in cuts] == [0, 2, 4, 6, 7, 9]
+    assert 0 in CutPointSet(1, 0, (0,)) and 1 not in CutPointSet(1, 0, (0,))
+
+
+def test_recognizability_reuses_the_callers_cut_points(s3):
+    cuts = cut_points(s3, 4, 5000)
+    assert verify_recognizability(s3, 4, 5000, cuts)
+    with pytest.raises(ValueError):
+        verify_recognizability(s3, 5, 5000, cuts)
 
 
 def test_cut_points_nested(s3):

@@ -117,3 +117,23 @@ def test_shared_fixed_point_buffer_matches_fresh_stream(k, requests):
     s = kbonacci(k)
     for length in requests:
         assert s.fixed_prefix(length) == FixedPointStream(s).prefix(length)
+
+
+APPLY_SUBSTITUTIONS = [kbonacci(k).images for k in range(2, 6)] + [
+    ("01", "10"), ("01", "00"), ("1", "01"), ("02", "0", "01")]
+
+
+@given(st.sampled_from(APPLY_SUBSTITUTIONS), st.data())
+def test_apply_matches_joined_images(images, data):
+    s = Substitution(images)
+    w = data.draw(st.text(alphabet="".join(map(str, range(s.k))), max_size=60))
+    assert s.apply(w) == "".join(images[int(c)] for c in w)
+
+
+@pytest.mark.parametrize("images", APPLY_SUBSTITUTIONS)
+def test_apply_rejects_letters_outside_the_alphabet(images):
+    s = Substitution(images)
+    # int() reads the Arabic-Indic digit as 3; it is still not a letter.
+    for letter in (str(s.k), "a", " ", "\u0663"):
+        with pytest.raises(ValueError):
+            s.apply("0" + letter)

@@ -135,3 +135,35 @@ def test_language_matches_long_word_factors(images, depth):
         for tup in itertools.product(letters, repeat=n):
             w = "".join(tup)
             assert in_language(s, w) == (w in oracle[n])
+
+
+# The slicing build and the concatenation classifier these replaced, kept
+# as oracles: every factor of the two-block words at every length, and the
+# letters a with a+w (w+a) in the next layer.
+def sliced_language(s, depth):
+    blocks = s.two_blocks(depth)
+    return [{w[i : i + n] for w in blocks for i in range(len(w) - n + 1)} for n in range(depth + 1)]
+
+
+def concatenated_specials(s, shorter, longer):
+    letters = [str(a) for a in range(s.k)]
+    left = {w for w in shorter if sum(a + w in longer for a in letters) >= 2}
+    right = {w for w in shorter if sum(w + a in longer for a in letters) >= 2}
+    return left, right, left & right
+
+
+LANGUAGE_SUBSTITUTIONS = [kbonacci(k).images for k in range(2, 6)] + [
+    ("01", "10"), ("01", "00"), ("1", "01"), ("02", "0", "01")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LANGUAGE_SUBSTITUTIONS), st.integers(min_value=0, max_value=60))
+def test_top_down_language_matches_slicing_oracle(images, depth):
+    s = Substitution(images)
+    index = build_language(s, depth)
+    oracle = sliced_language(s, depth)
+    assert [index.words(n) for n in range(depth + 1)] == oracle
+    for n in range(depth):
+        assert index.special_words(n) == concatenated_specials(s, oracle[n], oracle[n + 1])
+    with pytest.raises(OutOfIndexError):
+        index.special_words(depth)
