@@ -42,7 +42,9 @@ from .recognition import (
     delta_after_power,
     delta_shifted,
     distance_to_subshift,
+    maximal_prefix,
     maximal_prefix_after_power,
+    power_prefix,
     tribonacci_appendix_checks,
     verify_recognizability,
 )

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, KbonacciError
 from .potentials import Potential
-from .pressure import find_beta_c, pressure_curve
+from .pressure import DEFAULT_TOL, default_beta_grid, find_beta_c, pressure_curve
 from .recognition import Configuration, cut_points, delta, delta_shifted, verify_recognizability
-from .renorm import convergence_study, fixed_point_U, renorm_power
+from .renorm import MODES, convergence_study, fixed_point_U, renorm_power
 from .sampling import sample_configurations
 from .spectral import spectral_data
 from .substitution import Substitution, kbonacci
@@ -91,6 +91,13 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -273,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=non_negative_int, default=20)
     p.add_argument("--samples", type=non_negative_int, default=5)
     p.add_argument("--config", help="file of configuration lines")
-    p.add_argument("--mode", choices=["closed-form", "brute-force", "study"], default="study")
+    p.add_argument("--mode", choices=[*MODES, "study"], default="study")
     p.set_defaults(func=cmd_renorm)
 
     p = sub.add_parser("pressure", help="pressure curves and transition report")
     common(p, seed=False)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--depth", type=non_negative_int, default=10)
-    p.add_argument("--beta-grid", type=_parse_beta_grid, default="0.01:64:64")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--beta-grid", type=_parse_beta_grid, default=default_beta_grid())
+    p.add_argument("--tol", type=positive_finite_float, default=DEFAULT_TOL)
     p.add_argument("--statistic", choices=["raw", "excess"], default="raw")
     p.set_defaults(func=cmd_pressure)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .potentials import Potential
 from .spectral import growth_decomposition
-from .substitution import Substitution
+from .substitution import Substitution, occurrences
 
 PRESSURE_WORD_BUDGET = 10**7
 DEFAULT_TOL = 1e-3
@@ -245,7 +245,7 @@ class BispecialLadder:
     """The words b_n = s^n(0) s^{n-1}(0) ... s(0) 0 and their exact lengths.
 
     `words` holds the materialized rungs up to the word cap; `lengths`
-    covers every rung up to n_max via matrix powers.
+    covers every rung up to n_max, read off `Substitution.ladder_length`.
     """
 
     k: int
@@ -259,7 +259,7 @@ class BispecialLadder:
 
 def bispecial_ladder(s: Substitution, n_max: int, word_cap: int = 100_000) -> BispecialLadder:
     """Build the ladder by the recursion b_{n+1} = s(b_n) 0."""
-    lengths = [sum(s.power_lengths(l)[0] for l in range(n + 1)) for n in range(n_max + 1)]
+    lengths = [s.ladder_length(n) for n in range(n_max + 1)]
     words = ["0"]
     for n in range(n_max):
         nxt_len = lengths[n + 1]
@@ -327,17 +327,11 @@ def recurrence_gaps(s: Substitution, L_max: int, window: int) -> RecurrenceRepor
     pending: list[str] = []
     for n in range(1, L_max + 1):
         for w in sorted(index.words(n)):
-            gaps = []
-            prev = omega.find(w)
-            pos = omega.find(w, prev + 1) if prev != -1 else -1
-            while pos != -1:
-                gaps.append(pos - prev)
-                prev = pos
-                pos = omega.find(w, pos + 1)
-            if not gaps:
+            hits = occurrences(omega, w)
+            if len(hits) < 2:
                 pending.append(w)
                 continue
-            max_gap[n] = max(max_gap[n], max(gaps))
+            max_gap[n] = max(max_gap[n], *(b - a for a, b in zip(hits, hits[1:])))
     ratios = [0.0] + [max_gap[n] / n for n in range(1, L_max + 1)]
     return RecurrenceReport(window, tuple(max_gap), tuple(ratios), tuple(pending))
 

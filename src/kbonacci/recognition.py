@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconclusiveWindowError, UncertifiedConfigurationError
-from .substitution import Substitution, require_kbonacci
+from .errors import BudgetExceededError, InconclusiveWindowError, UncertifiedConfigurationError
+from .substitution import Substitution, occurrences, require_kbonacci
 from .words import in_language
 
 INFINITE = math.inf
@@ -92,6 +92,24 @@ class Configuration:
         return cls(head, kind, data)
 
 
+def power_prefix(s: Substitution, x: Configuration, n: int, length: int) -> str:
+    """Prefix of s^n(x) of at least `length` letters."""
+    if length > s.length_budget:
+        raise BudgetExceededError(f"materializing {length} letters exceeds budget")
+    lengths = s.power_lengths(n)
+    probe = x.prefix(s, 64)
+    while sum(lengths[int(c)] for c in probe) < length and len(probe) < length:
+        probe = x.prefix(s, 2 * len(probe))
+    out = []
+    acc = 0
+    for c in probe:
+        out.append(s.power_image(n, int(c)))
+        acc += lengths[int(c)]
+        if acc >= length:
+            break
+    return "".join(out)
+
+
 def delta(s: Substitution, x: Configuration) -> int | float:
     """Length of the longest prefix of x in the language; inf on the subshift.
 
@@ -125,37 +143,38 @@ def brute_delta(s: Substitution, word: str, start: int = 0) -> int:
     return lo
 
 
-def _require_finite_delta(s: Substitution, x: Configuration) -> int:
-    p = delta(s, x)
-    if p == INFINITE:
+def maximal_prefix(s: Substitution, x: Configuration) -> str:
+    """The longest language prefix w of x, so delta(x) = |w|.
+
+    Raises ValueError on the subshift, where every prefix is in the
+    language, and UncertifiedConfigurationError if the head does not
+    contain its break.
+    """
+    if x.in_subshift:
         raise ValueError("operation requires a configuration outside the subshift")
-    return int(p)
+    return x.head[: brute_delta(s, x.head)]
 
 
 def maximal_prefix_after_power(s: Substitution, x: Configuration, n: int) -> str:
-    """Longest language prefix of s^n(x): s^n(x_[0..p)) s^{n-1}(0) ... s(0) 0."""
+    """Longest language prefix of s^n(x): s^n(w) s^{n-1}(0) ... s(0) 0."""
     require_kbonacci(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = _require_finite_delta(s, x)
-    w = x.head[:p]
-    parts = [s.apply_power(n, w)]
+    parts = [s.apply_power(n, maximal_prefix(s, x))]
     parts.extend(s.power_image(l, 0) for l in range(n - 1, -1, -1))
     return "".join(parts)
 
 
 def delta_after_power(s: Substitution, x: Configuration, n: int) -> int:
-    """delta(s^n(x)) by the closed form: image lengths weighted by the
-    letter counts of the maximal prefix, plus the geometric boundary sum."""
+    """delta(s^n(x)) by the closed form |s^n(w)| + |s^{n-1}(0) ... s(0) 0|:
+    image lengths weighted by the letter counts of the maximal prefix w,
+    plus the ladder length."""
     require_kbonacci(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = _require_finite_delta(s, x)
-    w = x.head[:p]
+    w = maximal_prefix(s, x)
     lengths = s.power_lengths(n)
-    total = sum(lengths[a] * w.count(str(a)) for a in range(s.k))
-    boundary = sum(s.power_lengths(l)[0] for l in range(n))
-    return total + boundary
+    return sum(lengths[a] * w.count(str(a)) for a in range(s.k)) + s.ladder_length(n - 1)
 
 
 def delta_shifted(s: Substitution, x: Configuration, n: int, j: int) -> int:
@@ -218,14 +237,7 @@ def verify_recognizability(s: Substitution, n: int, window: int, cuts: CutPointS
         raise InconclusiveWindowError(
             f"window {window} holds fewer than two full n={n} blocks"
         )
-    omega = s.fixed_prefix(window)
-    occ = []
-    pos = omega.find(block)
-    while pos != -1:
-        if pos + len(block) <= window:
-            occ.append(pos)
-        pos = omega.find(block, pos + 1)
-    return occ == usable
+    return occurrences(s.fixed_prefix(window), block) == usable
 
 
 @dataclass(frozen=True)

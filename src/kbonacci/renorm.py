@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, UncertifiedConfigurationError
+from .errors import UncertifiedConfigurationError
 from .potentials import Potential
 from .recognition import (
     Configuration,
@@ -25,6 +25,8 @@ from .recognition import (
     delta,
     delta_after_power,
     INFINITE,
+    maximal_prefix,
+    power_prefix,
 )
 from .spectral import left_eigenvector, perron_root
 from .substitution import Substitution, is_kbonacci, require_kbonacci
@@ -35,14 +37,14 @@ MODES = ("closed-form", "brute-force")
 # -- configuration transforms -----------------------------------------------
 
 
-def substitute_config(s: Substitution, x: Configuration, pad: int = 4) -> Configuration:
+def substitute_config(s: Substitution, x: Configuration) -> Configuration:
     """The configuration s(x), with enough head materialized to stay certified."""
     if x.in_subshift:
         off = int(x.tail_data)
         omega = s.fixed_prefix(off)
         new_off = sum(len(s.images[int(c)]) for c in omega)
         return Configuration("", "orbit", new_off)
-    ext = x.with_head_length(s, len(x.head) + pad)
+    ext = x.with_head_length(s, len(x.head) + 4)
     head = s.apply(ext.head)
     if ext.tail_kind == "const":
         img = s.images[int(str(ext.tail_data))]
@@ -92,24 +94,6 @@ def renorm_once(s: Substitution, V: Potential, x: Configuration) -> float:
 # -- powers of the operator --------------------------------------------------
 
 
-def _power_prefix(s: Substitution, x: Configuration, n: int, length: int) -> str:
-    """Prefix of s^n(x) of at least `length` letters."""
-    if length > s.length_budget:
-        raise BudgetExceededError(f"materializing {length} letters exceeds budget")
-    lengths = s.power_lengths(n)
-    probe = x.prefix(s, 64)
-    while sum(lengths[int(c)] for c in probe) < length and len(probe) < length:
-        probe = x.prefix(s, 2 * len(probe))
-    out = []
-    acc = 0
-    for c in probe:
-        out.append(s.power_image(n, int(c)))
-        acc += lengths[int(c)]
-        if acc >= length:
-            break
-    return "".join(out)
-
-
 def renorm_power(
     s: Substitution,
     V: Potential,
@@ -140,7 +124,7 @@ def _renorm_power_closed(s: Substitution, V: Potential, x: Configuration, n: int
     if V.is_locally_trivial:
         numer = V.numerator_range("", s.k)[0]
         return numer * _inverse_power_sum(V.alpha, big_delta - block + 1, big_delta)
-    word = _power_prefix(s, x, n, block + V.order)
+    word = power_prefix(s, x, n, block + V.order)
     arr = np.frombuffer(word[: block + V.order].encode(), dtype=np.uint8) - ord("0")
     code = np.zeros(block, dtype=np.int64)
     for t in range(V.order):
@@ -175,15 +159,11 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
 
 
 def _renorm_power_brute(s: Substitution, V: Potential, x: Configuration, n: int) -> float:
-    p = delta(s, x)
-    if p == INFINITE:
-        return 0.0
-    x0 = int(x.prefix(s, 1))
-    block = s.power_lengths(n)[x0]
-    head_images = sum(s.power_lengths(n)[int(c)] for c in x.head)
-    boundary = sum(s.power_lengths(l)[0] for l in range(n))
-    length = head_images + boundary + V.order + 2
-    word = _power_prefix(s, x, n, length)
+    delta(s, x)  # raises unless the head contains its break
+    lengths = s.power_lengths(n)
+    block = lengths[int(x.prefix(s, 1))]
+    length = sum(lengths[int(c)] for c in x.head) + s.ladder_length(n - 1) + V.order + 2
+    word = power_prefix(s, x, n, length)
     terms = []
     for j in range(block):
         while True:
@@ -191,7 +171,7 @@ def _renorm_power_brute(s: Substitution, V: Potential, x: Configuration, n: int)
                 dj = brute_delta(s, word, j)
                 break
             except UncertifiedConfigurationError:
-                word = _power_prefix(s, x, n, 2 * len(word))
+                word = power_prefix(s, x, n, 2 * len(word))
         terms.append(V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha)
     return math.fsum(terms)
 
@@ -215,11 +195,8 @@ def fixed_point_U(s: Substitution, x: Configuration) -> float:
     require_kbonacci(s)
     if x.in_subshift:
         return 0.0
-    p = delta(s, x)
-    if p == INFINITE:
-        return 0.0
     lam, v = _perron_pair(s.k)
-    w = x.head[: int(p)]
+    w = maximal_prefix(s, x)
     x0 = int(w[0])
     denom = lam / (lam - 1.0) + sum(v[a] * w.count(str(a)) for a in range(s.k)) - v[x0]
     return math.log1p(v[x0] / denom)
@@ -236,11 +213,8 @@ def tribonacci_fixed_point_cases(s: Substitution, x: Configuration) -> float:
         raise ValueError("three-case form is specific to k = 3")
     if x.in_subshift:
         return 0.0
-    p = delta(s, x)
-    if p == INFINITE:
-        return 0.0
     lam, _ = _perron_pair(3)
-    w = x.head[: int(p)]
+    w = maximal_prefix(s, x)
     base = (
         lam / (lam - 1.0)
         + lam * w.count("0")
@@ -287,14 +261,7 @@ class ConvergenceStudy:
 DIVERGENCE_THRESHOLD = 1e6
 
 
-def convergence_study(
-    s: Substitution,
-    V: Potential,
-    x: Configuration,
-    n_max: int = 25,
-    divergence_threshold: float = DIVERGENCE_THRESHOLD,
-    ratio_tol: float = 0.02,
-) -> ConvergenceStudy:
+def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: int = 25) -> ConvergenceStudy:
     """Iterate the operator and classify the tail of R^n V(x).
 
     The verdict comes from the step ratio R^{n+1}V / R^nV over the last
@@ -308,16 +275,17 @@ def convergence_study(
         mode = "brute-force" if n < s.k else "closed-form"
         value = renorm_power(s, V, x, n, mode=mode)
         rows.append((n, value))
-        if value > divergence_threshold:
+        if value > DIVERGENCE_THRESHOLD:
             break
     values = [v for _, v in rows]
     tail = values[-5:]
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
     rho = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
-    if rho > 1.0 + ratio_tol:
+    # a ratio within 2% of 1 counts as converging
+    if rho > 1.02:
         lam = _perron_pair(s.k)[0] if is_kbonacci(s) else None
         exponent = math.log(rho) / math.log(lam) if lam else math.log(rho)
         return ConvergenceStudy(V.alpha, tuple(rows), "diverges", None, exponent)
-    if rho < 1.0 - ratio_tol:
+    if rho < 0.98:
         return ConvergenceStudy(V.alpha, tuple(rows), "vanishes", 0.0, None)
     return ConvergenceStudy(V.alpha, tuple(rows), "converges", values[-1], None)

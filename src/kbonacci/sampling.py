@@ -8,21 +8,16 @@ from .recognition import Configuration
 from .substitution import Substitution
 
 
-def random_certified_configuration(
-    s: Substitution,
-    rng: random.Random,
-    max_break: int = 10,
-    extra_letters: int = 3,
-) -> Configuration:
+def random_certified_configuration(s: Substitution, rng: random.Random) -> Configuration:
     """A configuration whose head provably contains its break.
 
-    Picks a language word w and a letter a with wa outside the language,
-    so delta equals |w| by construction; a few arbitrary letters and a
-    random constant tail follow the break.
+    Picks a language word w of length 2..10 and a letter a with wa
+    outside the language, so delta equals |w| by construction; up to
+    three arbitrary letters and a random constant tail follow the break.
     """
-    index = s.language(max_break + 1)
+    index = s.language(11)
     letters = [str(a) for a in range(s.k)]
-    lengths = list(range(2, max_break + 1))
+    lengths = list(range(2, 11))
     rng.shuffle(lengths)
     for n in lengths:
         words = sorted(index.words(n))
@@ -31,11 +26,11 @@ def random_certified_configuration(
             blocked = [a for a in letters if w + a not in index.words(n + 1)]
             if blocked:
                 head = w + rng.choice(blocked)
-                head += "".join(rng.choice(letters) for _ in range(rng.randrange(extra_letters + 1)))
+                head += "".join(rng.choice(letters) for _ in range(rng.randrange(4)))
                 return Configuration(head, "const", rng.choice(letters))
     raise RuntimeError("could not find a certified configuration (language too permissive?)")
 
 
-def sample_configurations(s: Substitution, count: int, seed: int, **kwargs) -> list[Configuration]:
+def sample_configurations(s: Substitution, count: int, seed: int) -> list[Configuration]:
     rng = random.Random(seed)
-    return [random_certified_configuration(s, rng, **kwargs) for _ in range(count)]
+    return [random_certified_configuration(s, rng) for _ in range(count)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .substitution import Substitution, is_kbonacci
+from .substitution import Substitution, is_kbonacci, occurrences
 
 ROOT_TOL = 1e-14
 
@@ -113,14 +113,6 @@ def _dominant_eigenvalue(s: Substitution) -> float:
     return float(np.max(np.abs(eigvals)))
 
 
-def geometric_tail(s: Substitution, n: int) -> tuple[int, float]:
-    """(exact sum_{l<n} |s^l(0)|, residual against gamma_0 lambda^n / (lambda-1))."""
-    total = sum(s.power_lengths(l)[0] for l in range(n))
-    growth = growth_decomposition(s, max(n, 40))
-    predicted = growth.gamma[0] * growth.lam**n / (growth.lam - 1.0)
-    return total, total - predicted
-
-
 def letter_frequencies(s: Substitution) -> np.ndarray:
     """Letter frequencies of the unique invariant measure: the normalized
     right Perron eigenvector of the incidence matrix."""
@@ -138,14 +130,8 @@ def empirical_letter_frequencies(s: Substitution, window: int) -> np.ndarray:
 
 def word_frequency(s: Substitution, w: str, window: int) -> float:
     """Sliding-window frequency of w in the fixed-point prefix of length window."""
-    omega = s.fixed_prefix(window)
     positions = max(window - len(w) + 1, 1)
-    count = 0
-    pos = omega.find(w)
-    while pos != -1:
-        count += 1
-        pos = omega.find(w, pos + 1)
-    return count / positions
+    return len(occurrences(s.fixed_prefix(window), w)) / positions
 
 
 def ergodic_integral(s: Substitution, g, window: int) -> tuple[float, float]:

@@ -62,6 +62,7 @@ class Substitution:
         self._power_cache: dict[tuple[int, int], str] = {}
         self._cached_letters = 0
         self._lengths: list[tuple[int, ...]] = [(1,) * k]  # _lengths[n][a] = |s^n(a)|
+        self._ladder = [0]  # _ladder[n] = sum_{l<n} |s^l(0)|
         self._stream: FixedPointStream | None = None
         self._pairs: frozenset[str] | None = None
         self._two_blocks: dict[int, tuple[str, ...]] = {}  # block level m -> words
@@ -114,6 +115,21 @@ class Substitution:
             prev = table[-1]
             table.append(tuple(sum(prev[int(c)] for c in w) for w in self.images))
         return table[n]
+
+    def ladder_length(self, n: int) -> int:
+        """sum_{l<=n} |s^l(0)|, a running sum grown with the length table.
+
+        For k-bonacci this is the length of the bispecial rung
+        b_n = s^n(0) s^{n-1}(0) ... s(0) 0, and the break of s^n(x) is
+        |s^n(w)| + ladder_length(n - 1) for w the longest language prefix
+        of x.
+        """
+        if n < 0:
+            raise ValueError("power must be nonnegative")
+        sums = self._ladder
+        for l in range(len(sums) - 1, n + 1):
+            sums.append(sums[-1] + self.power_lengths(l)[0])
+        return sums[n + 1]
 
     def block_level(self, n: int) -> int:
         """Smallest m >= 1 with |s^m(a)| >= n for every letter a.
@@ -247,6 +263,16 @@ def is_primitive(matrix: np.ndarray) -> bool:
             return True
         power = (power.astype(np.uint8) @ b.astype(np.uint8)) > 0
     return bool(power.all())
+
+
+def occurrences(text: str, word: str) -> list[int]:
+    """Start positions of every occurrence of word in text, overlaps included."""
+    found = []
+    pos = text.find(word)
+    while pos != -1:
+        found.append(pos)
+        pos = text.find(word, pos + 1)
+    return found
 
 
 def kbonacci(k: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Substitution:

@@ -24,6 +24,7 @@ from .recognition import (
     brute_delta,
     cut_points,
     delta_shifted,
+    power_prefix,
     tribonacci_appendix_checks,
     verify_recognizability,
 )
@@ -66,21 +67,18 @@ def suite_language(s: Substitution) -> list[CheckResult]:
     return rows
 
 
-def suite_delta(s: Substitution, samples: int = 20, seed: int = 7) -> list[CheckResult]:
+def suite_delta(s: Substitution) -> list[CheckResult]:
     rows = []
-    configs = sample_configurations(s, samples, seed)
     mismatches = 0
     checks = 0
-    for x in configs[:8]:
+    for x in sample_configurations(s, 8, seed=7):
         for n in range(s.k, s.k + 3):
             block = s.power_lengths(n)[int(x.head[0])]
             word = None
             for j in range(0, block, max(1, block // 8)):
                 closed = delta_shifted(s, x, n, j)
                 if word is None:
-                    from .renorm import _power_prefix
-
-                    word = _power_prefix(s, x, n, closed + j + 4)
+                    word = power_prefix(s, x, n, closed + j + 4)
                 checks += 1
                 if brute_delta(s, word, j) != closed:
                     mismatches += 1
@@ -88,8 +86,9 @@ def suite_delta(s: Substitution, samples: int = 20, seed: int = 7) -> list[Check
     return rows
 
 
-def suite_recognizability(s: Substitution, window: int = 20_000) -> list[CheckResult]:
+def suite_recognizability(s: Substitution) -> list[CheckResult]:
     rows = []
+    window = 20_000
     for n in range(s.k, s.k + 3):
         ok = verify_recognizability(s, n, window)
         rows.append(_result("recognizability", f"n={n} occurrences = cut points", ok))
@@ -121,9 +120,9 @@ def suite_spectral(s: Substitution) -> list[CheckResult]:
     return rows
 
 
-def suite_renorm(s: Substitution, samples: int = 20, seed: int = 11) -> list[CheckResult]:
+def suite_renorm(s: Substitution) -> list[CheckResult]:
     rows = []
-    configs = sample_configurations(s, samples, seed)
+    configs = sample_configurations(s, 20, seed=11)
     residual = verify_fixed_point(s, configs)
     rows.append(_result("renorm", "fixed point residual < 1e-9", residual < 1e-9, f"{residual:.2e}"))
     V0 = Potential.v0(1.0)
@@ -140,13 +139,13 @@ def suite_renorm(s: Substitution, samples: int = 20, seed: int = 11) -> list[Che
     return rows
 
 
-def suite_pressure(s: Substitution, depth: int = 10) -> list[CheckResult]:
+def suite_pressure(s: Substitution) -> list[CheckResult]:
     rows = []
     V0 = Potential.v0(1.0)
-    lo, hi = pressure_bounds(s, V0, 0.0, depth)
+    lo, hi = pressure_bounds(s, V0, 0.0, 10)
     exact = abs(lo - math.log(s.k)) < 1e-12 and abs(hi - math.log(s.k)) < 1e-12
     rows.append(_result("pressure", "exact at beta = 0", exact))
-    lo5, hi5 = pressure_bounds(s, V0, 5.0, depth)
+    lo5, hi5 = pressure_bounds(s, V0, 5.0, 10)
     rows.append(_result("pressure", "bracket ordered and nonnegative", 0.0 <= lo5 <= hi5))
     ladder = bispecial_ladder(s, 35)
     lam = perron_root(s.k)

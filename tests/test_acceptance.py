@@ -38,8 +38,7 @@ from kbonacci import (
     verify_ladder,
     verify_recognizability,
 )
-from kbonacci.recognition import delta_shifted
-from kbonacci.renorm import _power_prefix
+from kbonacci.recognition import delta_shifted, power_prefix
 from kbonacci.sampling import sample_configurations
 
 V0 = Potential.v0(1.0)
@@ -110,7 +109,7 @@ def test_04_delta_closed_forms():
                 block = s.power_lengths(n)[int(x.head[0])]
                 step = max(1, block // 6)
                 js = sorted(set(list(range(0, block, step)) + [block - 1]))
-                word = _power_prefix(s, x, n, delta_shifted(s, x, n, 0) + 8)
+                word = power_prefix(s, x, n, delta_shifted(s, x, n, 0) + 8)
                 for j in js:
                     checks += 1
                     if delta_shifted(s, x, n, j) != brute_delta(s, word, j):

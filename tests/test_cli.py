@@ -185,6 +185,19 @@ def test_bad_configuration_is_a_usage_error(command, line, tmp_path, capsys):
     assert_usage_error(capsys, main([command, "--k", "2", "--config", str(cfg)]))
 
 
+def test_orbit_configuration_has_no_delta_after_power(tmp_path, capsys):
+    cfg = tmp_path / "points.txt"
+    cfg.write_text("head= tail=orbit:3\n")
+    assert_usage_error(capsys, main(["delta", "--k", "2", "--config", str(cfg)]))
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_non_positive_or_non_finite_tol_is_a_usage_error(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pressure", "--k", "2", "--depth", "6", f"--tol={tol}"])
+    assert_usage_error(capsys, exc.value.code)
+
+
 def test_options_line_records_the_loaded_substitutions_k(tmp_path, capsys):
     sub = tmp_path / "one_letter.txt"
     sub.write_text("1\n00\n")

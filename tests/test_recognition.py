@@ -15,7 +15,9 @@ from kbonacci import (
     delta_shifted,
     distance_to_subshift,
     kbonacci,
+    maximal_prefix,
     maximal_prefix_after_power,
+    power_prefix,
     tribonacci_appendix_checks,
     verify_recognizability,
 )
@@ -67,18 +69,42 @@ def test_maximal_prefix_after_power(s3):
     assert w == "010201001020100102010"[: len(w)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_break_formula_reads_one_maximal_prefix(k, seed, data):
+    s = kbonacci(k)
+    x = sample_configurations(s, 1, seed)[0]
+    n = data.draw(st.integers(min_value=1, max_value=k + 3))
+    assert maximal_prefix(s, x) == x.head[: delta(s, x)]
+    assert len(maximal_prefix_after_power(s, x, n)) == delta_after_power(s, x, n)
+
+
+@pytest.mark.parametrize("k, depth", [(2, 30), (3, 22), (4, 20), (5, 20)])
+def test_ladder_length_sums_the_images_of_0(k, depth):
+    # depth keeps the materialized images of 0 below a few million letters;
+    # the deepest rung comes first, so the column grows many levels at once
+    s = kbonacci(k)
+    for n in range(depth, -1, -1):
+        assert s.ladder_length(n) == sum(len(s.power_image(l, 0)) for l in range(n + 1))
+    with pytest.raises(ValueError):
+        s.ladder_length(-1)
+
+
+def test_maximal_prefix_rejects_the_subshift(s3):
+    with pytest.raises(ValueError, match="outside the subshift"):
+        maximal_prefix(s3, Configuration("", "orbit", 3))
+
+
 def test_delta_after_power_fibonacci(s2):
     assert delta_after_power(s2, Configuration("110", "const", "1"), 4) == 16
 
 
 def test_closed_form_equals_scan(s3, s2, s4):
-    from kbonacci.renorm import _power_prefix
-
     for s in (s2, s3, s4):
         for x in sample_configurations(s, 5, seed=3):
             for n in range(s.k, s.k + 2):
                 base = delta_after_power(s, x, n)
-                word = _power_prefix(s, x, n, base + 8)
+                word = power_prefix(s, x, n, base + 8)
                 assert brute_delta(s, word, 0) == base
                 block = s.power_lengths(n)[int(x.head[0])]
                 for j in (1, block // 2, block - 1):
@@ -89,14 +115,12 @@ def test_closed_form_equals_scan(s3, s2, s4):
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=0, max_value=1), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 def test_delta_shifted_equals_scan_on_random_configurations(k, seed, extra, where):
-    from kbonacci.renorm import _power_prefix
-
     s = kbonacci(k)
     x = sample_configurations(s, 1, seed)[0]
     n = k + extra
     block = s.power_lengths(n)[int(x.head[0])]
     j = int(where * block)
-    word = _power_prefix(s, x, n, delta_shifted(s, x, n, 0) + 1)
+    word = power_prefix(s, x, n, delta_shifted(s, x, n, 0) + 1)
     assert delta_shifted(s, x, n, j) == brute_delta(s, word, j)
 
 

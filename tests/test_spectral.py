@@ -14,7 +14,8 @@ from kbonacci import (
     tribonacci_cardan,
     word_frequency,
 )
-from kbonacci.spectral import empirical_letter_frequencies, geometric_tail
+from kbonacci.pressure import bispecial_length_law
+from kbonacci.spectral import empirical_letter_frequencies
 
 
 def test_perron_root_fibonacci(s2):
@@ -70,9 +71,9 @@ def test_gamma_proportional_to_eigenvector(s3):
 
 
 def test_geometric_tail(s3):
-    total, residual = geometric_tail(s3, 10)
-    assert total == sum(len(s3.power_image(l, 0)) for l in range(10))
-    assert abs(residual) < 10
+    # sum_{l<10} |s^l(0)| against gamma_0 lambda^10 / (lambda - 1)
+    assert s3.ladder_length(9) == sum(len(s3.power_image(l, 0)) for l in range(10))
+    assert abs(bispecial_length_law(s3, 40).residuals[9]) < 10
 
 
 def test_letter_frequencies(s3):
