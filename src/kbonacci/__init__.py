@@ -64,13 +64,11 @@ from .renorm import (
 from .sampling import random_certified_configuration, sample_configurations
 from .spectral import (
     GrowthDecomposition,
-    SpectralData,
     ergodic_integral,
     growth_decomposition,
     left_eigenvector,
     letter_frequencies,
     perron_root,
-    spectral_data,
     tribonacci_cardan,
     word_frequency,
 )

@@ -3,6 +3,8 @@
 Every command writes a CSV (stdout or --out) whose first line is a `#`
 comment recording the resolved options, so a result file is traceable
 to the exact invocation; fixed seed means byte-identical output.
+`main` owns that lifecycle: it loads the substitution, opens the one
+writer, runs the command, which only writes rows, and writes the output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 budget exceeded.
@@ -22,8 +24,8 @@ from .pressure import DEFAULT_TOL, default_beta_grid, find_beta_c, pressure_curv
 from .recognition import Configuration, cut_points, delta, delta_shifted, verify_recognizability
 from .renorm import MODES, convergence_study, fixed_point_U, renorm_power
 from .sampling import sample_configurations
-from .spectral import spectral_data
-from .substitution import Substitution, kbonacci
+from .spectral import growth_decomposition, left_eigenvector
+from .substitution import Substitution, kbonacci, require_kbonacci
 from .verify import run_all
 
 EXIT_OK = 0
@@ -69,14 +71,14 @@ def _config_line(args: argparse.Namespace, s: Substitution) -> str:
 
 
 def _load_substitution(args: argparse.Namespace) -> Substitution:
-    if getattr(args, "substitution", None):
+    if args.substitution:
         with open(args.substitution) as fh:
             return Substitution.from_text(fh.read())
     return kbonacci(args.k)
 
 
-def _load_configurations(args: argparse.Namespace, s: Substitution, count: int) -> list[Configuration]:
-    if getattr(args, "config", None):
+def _load_configurations(args: argparse.Namespace, s: Substitution) -> list[Configuration]:
+    if args.config:
         with open(args.config) as fh:
             configs = [Configuration.from_text(line) for line in fh if line.strip()]
         letters = {str(a) for a in range(s.k)}
@@ -84,7 +86,7 @@ def _load_configurations(args: argparse.Namespace, s: Substitution, count: int) 
             if not x.in_subshift and not set(x.head + str(x.tail_data)) <= letters:
                 raise ValueError(f"configuration {x.to_text()!r} uses letters outside the alphabet of size {s.k}")
         return configs
-    return sample_configurations(s, count, args.seed)
+    return sample_configurations(s, args.samples, args.seed)
 
 
 def non_negative_int(text: str) -> int:
@@ -118,64 +120,61 @@ def _parse_beta_grid(text: str) -> np.ndarray:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_lang(args) -> int:
-    s = _load_substitution(args)
+def _levels(args, s: Substitution) -> range:
+    """The levels n = k..n_max that `delta` and `recog` tabulate."""
+    if args.n_max < s.k:
+        raise ValueError(f"--n-max must be at least k = {s.k}, got {args.n_max}")
+    return range(s.k, args.n_max + 1)
+
+
+def cmd_lang(args, s: Substitution, w: CsvWriter) -> int:
     index = s.language(args.depth + 1)
-    w = CsvWriter(_config_line(args, s))
     w.row("n", "complexity", "left_special", "right_special", "bispecial")
     for n in range(1, args.depth + 1):
         left, right, bi = index.special_words(n)
         w.row(n, index.complexity(n), len(left), len(right), ";".join(sorted(bi)))
-    w.dump(args.out)
     return EXIT_OK
 
 
-def cmd_delta(args) -> int:
-    s = _load_substitution(args)
-    configs = _load_configurations(args, s, args.samples)
-    w = CsvWriter(_config_line(args, s))
+def cmd_delta(args, s: Substitution, w: CsvWriter) -> int:
+    levels = _levels(args, s)
+    configs = _load_configurations(args, s)
     w.row("x_id", "configuration", "delta", "n", "delta_after_power")
     for i, x in enumerate(configs):
         d = delta(s, x)
-        for n in range(s.k, args.n_max + 1):
+        for n in levels:
             w.row(i, x.to_text(), d, n, delta_shifted(s, x, n, 0))
-    w.dump(args.out)
     return EXIT_OK
 
 
-def cmd_recog(args) -> int:
-    s = _load_substitution(args)
-    w = CsvWriter(_config_line(args, s))
+def cmd_recog(args, s: Substitution, w: CsvWriter) -> int:
+    require_kbonacci(s)  # before cut_points, which grows a non-primitive fixed point for minutes
     w.row("n", "window", "cut_count", "recognizable")
-    for n in range(s.k, args.n_max + 1):
+    for n in _levels(args, s):
         cuts = cut_points(s, n, args.window)
         ok = verify_recognizability(s, n, args.window, cuts)
         w.row(n, args.window, len(cuts.points), int(ok))
-    w.dump(args.out)
     return EXIT_OK
 
 
-def cmd_spectral(args) -> int:
-    s = _load_substitution(args)
-    data = spectral_data(s)
-    w = CsvWriter(_config_line(args, s))
+def cmd_spectral(args, s: Substitution, w: CsvWriter) -> int:
+    require_kbonacci(s)
+    growth = growth_decomposition(s)
+    lam = growth.lam
     w.row("quantity", "index", "value")
-    w.row("lambda", "", data.lam)
-    for l, value in enumerate(data.v):
+    w.row("lambda", "", lam)
+    for l, value in enumerate(left_eigenvector(s.k, lam)):
         w.row("v", l, float(value))
-    for l, value in enumerate(data.gamma):
+    for l, value in enumerate(growth.gamma):
         w.row("gamma", l, float(value))
-    w.row("theta_hat", "", data.theta_hat)
-    w.row("polynomial_residual", "", data.polynomial_residual)
-    w.dump(args.out)
+    w.row("theta_hat", "", growth.theta_hat)
+    w.row("polynomial_residual", "", abs(lam**s.k - sum(lam**j for j in range(s.k))))
     return EXIT_OK
 
 
-def cmd_renorm(args) -> int:
-    s = _load_substitution(args)
-    configs = _load_configurations(args, s, args.samples)
+def cmd_renorm(args, s: Substitution, w: CsvWriter) -> int:
+    configs = _load_configurations(args, s)
     V = Potential.v0(args.alpha)
-    w = CsvWriter(_config_line(args, s))
     w.row("k", "alpha", "n", "x_id", "value", "method")
     for i, x in enumerate(configs):
         if args.mode == "study":
@@ -187,16 +186,13 @@ def cmd_renorm(args) -> int:
         else:
             value = renorm_power(s, V, x, args.n_max, mode=args.mode)
             w.row(s.k, args.alpha, args.n_max, i, value, args.mode)
-    w.dump(args.out)
     return EXIT_OK
 
 
-def cmd_pressure(args) -> int:
-    s = _load_substitution(args)
+def cmd_pressure(args, s: Substitution, w: CsvWriter) -> int:
     V = Potential.v0(args.alpha)
     curve = pressure_curve(s, V, args.depth, args.beta_grid)
     report = find_beta_c(s, V, args.depth, tol=args.tol, betas=args.beta_grid, statistic=args.statistic)
-    w = CsvWriter(_config_line(args, s))
     w.row("k", "alpha", "n", "beta", "P_low", "P_high")
     for beta, lo, hi in curve.rows():
         w.row(s.k, args.alpha, args.depth, beta, lo, hi)
@@ -210,28 +206,17 @@ def cmd_pressure(args) -> int:
     w.buffer.write(
         f"# floor={_fmt(curve.floor)} convex={int(curve.is_convex)} monotone={int(curve.is_monotone)}\n"
     )
-    w.dump(args.out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    s = _load_substitution(args)
-    suites = args.suites.split(",") if args.suites else None
-    results = run_all(s, suites)
-    lines = []
+def cmd_verify(args, s: Substitution, w: CsvWriter) -> int:
+    results = run_all(s, args.suites.split(",") if args.suites else None)
     failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
         failed += 0 if r.passed else 1
         detail = f" ({r.detail})" if r.detail else ""
-        lines.append(f"{status} {r.suite}: {r.name}{detail}")
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        w.row(f"{'PASS' if r.passed else 'FAIL'} {r.suite}: {r.name}{detail}")
+    w.row(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
@@ -304,7 +289,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        s = _load_substitution(args)
+        w = CsvWriter(_config_line(args, s))
+        code = args.func(args, s, w)
+        w.dump(args.out)
+        return code
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

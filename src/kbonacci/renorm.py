@@ -253,10 +253,6 @@ class ConvergenceStudy:
     limit: float | None
     growth_exponent: float | None
 
-    @property
-    def final_value(self) -> float:
-        return self.rows[-1][1]
-
 
 DIVERGENCE_THRESHOLD = 1e6
 

@@ -28,7 +28,7 @@ def random_certified_configuration(s: Substitution, rng: random.Random) -> Confi
                 head = w + rng.choice(blocked)
                 head += "".join(rng.choice(letters) for _ in range(rng.randrange(4)))
                 return Configuration(head, "const", rng.choice(letters))
-    raise RuntimeError("could not find a certified configuration (language too permissive?)")
+    raise ValueError("could not find a certified configuration (language too permissive?)")
 
 
 def sample_configurations(s: Substitution, count: int, seed: int) -> list[Configuration]:

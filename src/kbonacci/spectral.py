@@ -155,28 +155,3 @@ def ergodic_integral(s: Substitution, g, window: int) -> tuple[float, float]:
     half = estimate(window // 2)
     return full, abs(full - half)
 
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Bundled Perron data for a k-bonacci substitution."""
-
-    k: int
-    lam: float
-    v: np.ndarray
-    gamma: np.ndarray
-    theta_hat: float
-
-    @property
-    def polynomial_residual(self) -> float:
-        return abs(self.lam**self.k - sum(self.lam**j for j in range(self.k)))
-
-
-def spectral_data(s: Substitution, n_max: int = 60) -> SpectralData:
-    growth = growth_decomposition(s, n_max)
-    return SpectralData(
-        k=s.k,
-        lam=growth.lam,
-        v=left_eigenvector(s.k, growth.lam),
-        gamma=growth.gamma,
-        theta_hat=growth.theta_hat,
-    )

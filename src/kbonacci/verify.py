@@ -35,7 +35,7 @@ from .renorm import (
 )
 from .sampling import sample_configurations
 from .spectral import left_eigenvector, perron_root, tribonacci_cardan
-from .substitution import Substitution, check_recurrence
+from .substitution import Substitution, check_recurrence, require_kbonacci
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,9 @@ def suite_pressure(s: Substitution) -> list[CheckResult]:
     return rows
 
 
-def suite_appendix() -> list[CheckResult]:
+def suite_appendix(s: Substitution) -> list[CheckResult]:
+    if s.k != 3:
+        raise ValueError(f"the appendix suite checks the Tribonacci substitution (k = 3), not k = {s.k}")
     report = tribonacci_appendix_checks(max_length=30)
     return [
         _result("appendix", "unique de-substitution", report.all_unique, f"{report.words_checked} words"),
@@ -171,18 +173,18 @@ SUITES: dict[str, Callable[[Substitution], list[CheckResult]]] = {
     "spectral": suite_spectral,
     "renorm": suite_renorm,
     "pressure": suite_pressure,
+    "appendix": suite_appendix,
 }
 
 
 def run_all(s: Substitution, suites: list[str] | None = None) -> list[CheckResult]:
-    names = list(suites) if suites else list(SUITES) + (["appendix"] if s.k == 3 else [])
+    """Run the named suites (default: every suite that applies to s, the
+    appendix only at k = 3) on a k-bonacci substitution."""
+    require_kbonacci(s)
+    names = suites or [name for name in SUITES if name != "appendix" or s.k == 3]
     results: list[CheckResult] = []
     for name in names:
-        if name == "appendix":
-            if s.k == 3:
-                results.extend(suite_appendix())
-            continue
         if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'appendix'")
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         results.extend(SUITES[name](s))
     return results

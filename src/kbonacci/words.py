@@ -28,7 +28,6 @@ def in_language(s: Substitution, u: str) -> bool:
 class LanguageIndex:
     """Immutable per-length factor sets of a substitution language, up to depth N."""
 
-    subst: Substitution
     depth: int
     _sets: tuple[frozenset[str], ...] = field(repr=False)
 
@@ -36,11 +35,6 @@ class LanguageIndex:
         if n < 0 or n > self.depth:
             raise OutOfIndexError(f"length {n} outside indexed depth {self.depth}")
         return self._sets[n]
-
-    def __contains__(self, u: str) -> bool:
-        if len(u) > self.depth:
-            raise OutOfIndexError(f"word of length {len(u)} outside indexed depth {self.depth}")
-        return u in self._sets[len(u)]
 
     def complexity(self, n: int) -> int:
         """Number of indexed factors of length n."""
@@ -73,4 +67,4 @@ def build_language(s: Substitution, depth: int) -> LanguageIndex:
     for _ in range(depth):
         layer = frozenset(u[:-1] for u in layer)
         sets.append(layer)
-    return LanguageIndex(s, depth, tuple(reversed(sets)))
+    return LanguageIndex(depth, tuple(reversed(sets)))

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbonacci.cli import main
 
@@ -176,9 +179,12 @@ def test_non_finite_alpha_is_a_usage_error(command, alpha, capsys):
     assert_usage_error(capsys, main([*command, "--k", "2", "--alpha", alpha]))
 
 
+BAD_CONFIG_LINES = ["head=0190 tail=const:0", "head=0000 tail=periodic:012",
+                    "head=0000 tail=const:", "head=0000 tail=const:01", "head= tail=orbit:-3"]
+
+
 @pytest.mark.parametrize("command", ["delta", "renorm"])
-@pytest.mark.parametrize("line", ["head=0190 tail=const:0", "head=0000 tail=periodic:012",
-                                  "head=0000 tail=const:", "head=0000 tail=const:01", "head= tail=orbit:-3"])
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
 def test_bad_configuration_is_a_usage_error(command, line, tmp_path, capsys):
     cfg = tmp_path / "points.txt"
     cfg.write_text(line + "\n")
@@ -205,3 +211,117 @@ def test_options_line_records_the_loaded_substitutions_k(tmp_path, capsys):
     assert code == 0
     options, _, first_row = out.splitlines()[:3]
     assert " k=1 " in options and first_row.startswith("1,")
+
+
+@pytest.mark.parametrize("argv", [["delta", "--k", "2", "--n-max", "1", "--samples", "1"],
+                                  ["recog", "--k", "3", "--n-max", "2"]])
+def test_n_max_below_k_is_a_usage_error(argv, capsys):
+    assert_usage_error(capsys, main(argv))
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("3\n02\n0\n01\n", ["verify", "--suites", "appendix"]),
+    ("2\n01\n10\n", ["spectral"]),
+    ("3\n01\n1\n2\n", ["recog"]),
+    ("1\n00\n", ["delta"]),
+])
+def test_k_bonacci_commands_reject_other_substitutions(text, argv, tmp_path, capsys):
+    sub = tmp_path / "substitution.txt"
+    sub.write_text(text)
+    assert_usage_error(capsys, main([*argv, "--substitution", str(sub)]))
+
+
+def test_appendix_suite_needs_k_3(capsys):
+    assert_usage_error(capsys, main(["verify", "--k", "4", "--suites", "appendix"]))
+
+
+def test_verify_writes_the_options_line_and_the_same_text_to_out(tmp_path, capsys):
+    code, out = run(capsys, "verify", "--k", "3", "--suites", "spectral,appendix")
+    assert code == 0
+    assert out.startswith("# ") and "PASS appendix: 001 in language" in out
+    path = tmp_path / "verify.txt"
+    assert main(["verify", "--k", "3", "--suites", "spectral,appendix", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == out
+
+
+# -- the exit-code contract under random arguments -------------------------------
+# Every option value below is either bad or cheap: a "large" count is large
+# enough to leave the usual range but stays fast, or trips a budget at once
+# (pressure depth 40, recog window 10^9).  The sizes and verify's suites are
+# always given, because some defaults run for seconds to minutes at k = 10.
+
+SUBSTITUTION_FILES = {"fib": "2\n01\n0\n", "thue-morse": "2\n01\n10\n", "not-kbonacci": "3\n02\n0\n01\n",
+                      "non-primitive": "3\n01\n1\n2\n", "one-letter": "1\n00\n", "garbage": "x\n", "empty": ""}
+CONFIG_FILES = {"good": "head=0000 tail=const:0\n", "no-tail": "head=0000\n", "orbit": "head= tail=orbit:3\n",
+                **{f"bad{i}": line + "\n" for i, line in enumerate(BAD_CONFIG_LINES)}}
+
+
+def counts(large: str):
+    return st.sampled_from(["-1", "0", "1", "2", large, "x"])
+
+
+ALPHAS = st.sampled_from(["1", "0.5", "2", "0", "-1", "nan", "inf", "x"])
+COMMAND_OPTIONS = {
+    "lang": {"depth": counts("60")},
+    "delta": {"samples": counts("30"), "n-max": counts("40"), "seed": st.sampled_from(["0", "7", "-3"]),
+              "config": st.sampled_from(sorted(CONFIG_FILES))},
+    "recog": {"n-max": counts("40"), "window": st.sampled_from(["-1", "0", "1", "50", "20000", str(10**9)])},
+    "spectral": {},
+    "renorm": {"alpha": ALPHAS, "n-max": counts("5"), "samples": counts("3"),
+               "mode": st.sampled_from(["closed-form", "brute-force", "study", "nope"]),
+               "config": st.sampled_from(sorted(CONFIG_FILES))},
+    "pressure": {"alpha": ALPHAS, "depth": counts("40"),
+                 "beta-grid": st.sampled_from(["0.01:64:8", "0.01:64:0", "-1:3:3", "1:nan:3", "a:b", "1:2:3:4", "2:0.5:3"]),
+                 "tol": st.sampled_from(["1e-3", "0", "-1", "nan", "inf", "x"]),
+                 "statistic": st.sampled_from(["raw", "excess", "x"])},
+    "verify": {"suites": st.sampled_from(["spectral", "language", "recognizability", "appendix", "spectral,appendix",
+                                          "nope", ",", "spectral,nope"])},
+}
+
+
+SIZES = {"depth", "n-max", "samples", "window", "suites"}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for kind, files in (("substitution", SUBSTITUTION_FILES), ("config", CONFIG_FILES)):
+        for name, text in files.items():
+            paths[kind, name] = root / f"{kind}-{name}.txt"
+            paths[kind, name].write_text(text)
+    paths["out", "ok"] = root / "out.csv"
+    paths["out", "missing-dir"] = root / "missing" / "out.csv"
+    return paths
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    options = {"k": st.integers(-1, 11).map(str), "substitution": st.sampled_from(sorted(SUBSTITUTION_FILES)),
+               "out": st.sampled_from(["ok", "missing-dir"]), **COMMAND_OPTIONS[command]}
+    return command, {name: draw(values) for name, values in options.items()
+                     if name in SIZES or draw(st.booleans())}
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_exit_code_contract_holds_for_random_arguments(input_files, command_line):
+    command, chosen = command_line
+    argv = [command]
+    for name, value in chosen.items():
+        if name in ("substitution", "config", "out"):
+            value = input_files[name, value]
+        argv.append(f"--{name}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)

@@ -1,6 +1,8 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbonacci import (
     Configuration,
@@ -10,6 +12,7 @@ from kbonacci import (
     convergence_study,
     eval_potential,
     fixed_point_U,
+    kbonacci,
     letter_frequencies,
     renorm_apply,
     renorm_once,
@@ -91,6 +94,23 @@ def test_closed_form_matches_brute_force(s3, s2):
                 c = renorm_power(s, V0, x, n, mode="closed-form")
                 b = renorm_power(s, V0, x, n, mode="brute-force")
                 assert abs(c - b) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=2), st.floats(min_value=0.25, max_value=3.0),
+       st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_closed_form_matches_brute_force_for_a_general_numerator(k, order, alpha, seed, data):
+    # A non-constant g takes the per-window numerator table of the closed form.
+    s = kbonacci(k)
+    windows = ["".join(w) for w in itertools.product("012"[:k], repeat=order)]
+    values = data.draw(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=len(windows),
+                                max_size=len(windows), unique=True))
+    V = Potential(alpha, CylinderFunction(order, dict(zip(windows, values))), CylinderFunction.constant(0.0))
+    x = sample_configurations(s, 1, seed)[0]
+    n = data.draw(st.integers(min_value=k, max_value=k + 2))
+    closed = renorm_power(s, V, x, n, mode="closed-form")
+    brute = renorm_power(s, V, x, n, mode="brute-force")
+    assert abs(closed - brute) < 1e-12
 
 
 def test_iterates_converge_to_fixed_point(s3):

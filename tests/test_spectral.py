@@ -10,10 +10,10 @@ from kbonacci import (
     left_eigenvector,
     letter_frequencies,
     perron_root,
-    spectral_data,
     tribonacci_cardan,
     word_frequency,
 )
+from kbonacci.cli import main
 from kbonacci.pressure import bispecial_length_law
 from kbonacci.spectral import empirical_letter_frequencies
 
@@ -101,7 +101,10 @@ def test_ergodic_integral_indicator(s3):
     assert value == pytest.approx(1.0 + 1 / perron_root(3), abs=1e-3)
 
 
-def test_spectral_data_bundle(s3):
-    data = spectral_data(s3)
-    assert data.k == 3
-    assert data.polynomial_residual < 1e-12
+def test_spectral_data_bundle(capsys):
+    assert main(["spectral", "--k", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "k=3" in lines[0].split()
+    assert sum(line.startswith("v,") for line in lines) == 3
+    residual = next(line for line in lines if line.startswith("polynomial_residual,"))
+    assert float(residual.split(",")[2]) < 1e-12
