@@ -17,7 +17,6 @@ from .errors import (
 from .potentials import CylinderFunction, Potential
 from .pressure import (
     BetaCReport,
-    BispecialLadder,
     PressureCurve,
     bispecial_ladder,
     bispecial_length_law,
@@ -40,7 +39,6 @@ from .recognition import (
     cut_points,
     delta,
     delta_after_power,
-    delta_shifted,
     distance_to_subshift,
     maximal_prefix,
     maximal_prefix_after_power,

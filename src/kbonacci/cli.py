@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BudgetExceededError, KbonacciError
 from .potentials import Potential
 from .pressure import DEFAULT_TOL, default_beta_grid, find_beta_c, pressure_curve
-from .recognition import Configuration, cut_points, delta, delta_shifted, verify_recognizability
+from .recognition import Configuration, cut_points, delta_after_power, maximal_prefix, verify_recognizability
 from .renorm import MODES, convergence_study, fixed_point_U, renorm_power
 from .sampling import sample_configurations
 from .spectral import growth_decomposition, left_eigenvector
@@ -141,9 +141,9 @@ def cmd_delta(args, s: Substitution, w: CsvWriter) -> int:
     configs = _load_configurations(args, s)
     w.row("x_id", "configuration", "delta", "n", "delta_after_power")
     for i, x in enumerate(configs):
-        d = delta(s, x)
+        prefix = maximal_prefix(s, x)
         for n in levels:
-            w.row(i, x.to_text(), d, n, delta_shifted(s, x, n, 0))
+            w.row(i, x.to_text(), len(prefix), n, delta_after_power(s, prefix, n))
     return EXIT_OK
 
 

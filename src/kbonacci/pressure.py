@@ -240,36 +240,15 @@ def find_beta_c(
 # -- the bispecial ladder ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BispecialLadder:
-    """The words b_n = s^n(0) s^{n-1}(0) ... s(0) 0 and their exact lengths.
-
-    `words` holds the materialized rungs up to the word cap; `lengths`
-    covers every rung up to n_max, read off `Substitution.ladder_length`.
-    """
-
-    k: int
-    words: tuple[str, ...]
-    lengths: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.lengths) - 1
-
-
-def bispecial_ladder(s: Substitution, n_max: int, word_cap: int = 100_000) -> BispecialLadder:
-    """Build the ladder by the recursion b_{n+1} = s(b_n) 0."""
-    lengths = [s.ladder_length(n) for n in range(n_max + 1)]
-    words = ["0"]
-    for n in range(n_max):
-        nxt_len = lengths[n + 1]
-        if nxt_len > word_cap:
-            break
-        words.append(s.apply(words[-1]) + "0")
-    for n, w in enumerate(words):
-        if len(w) != lengths[n]:
-            raise AssertionError(f"ladder length mismatch at rung {n}")
-    return BispecialLadder(k=s.k, words=tuple(words), lengths=tuple(lengths))
+def bispecial_ladder(s: Substitution, max_length: int) -> tuple[str, ...]:
+    """The rungs b_0 = 0, b_{n+1} = s(b_n) 0 of length <= max_length;
+    |b_n| = s.ladder_length(n)."""
+    words = []
+    b = "0"
+    while len(b) <= max_length:
+        words.append(b)
+        b = s.apply(b) + "0"
+    return tuple(words)
 
 
 def brute_bispecials(s: Substitution, max_length: int) -> set[str]:
@@ -284,16 +263,14 @@ def brute_bispecials(s: Substitution, max_length: int) -> set[str]:
 
 def verify_ladder(s: Substitution, max_length: int = 200) -> bool:
     """Exhaustive check: bispecials up to max_length are exactly the rungs."""
-    ladder = bispecial_ladder(s, n_max=64, word_cap=max_length)
-    rungs = {w for w in ladder.words if len(w) <= max_length}
-    return brute_bispecials(s, max_length) == rungs
+    return brute_bispecials(s, max_length) == set(bispecial_ladder(s, max_length))
 
 
-def overlap_ratios(ladder: BispecialLadder) -> np.ndarray:
-    """|b_m| / |b_{m+1}| for consecutive rungs; tends to 1/lambda."""
-    if ladder.depth < 5:
+def overlap_ratios(s: Substitution, n_max: int) -> np.ndarray:
+    """|b_m| / |b_{m+1}| for the rungs m < n_max; tends to 1/lambda."""
+    if n_max < 5:
         raise ValueError("ladder too shallow for ratio statistics")
-    lengths = np.asarray(ladder.lengths, dtype=float)
+    lengths = np.array([s.ladder_length(n) for n in range(n_max + 1)], dtype=float)
     return lengths[:-1] / lengths[1:]
 
 
@@ -355,13 +332,12 @@ class LengthLawReport:
 
 def bispecial_length_law(s: Substitution, n_max: int = 40) -> LengthLawReport:
     growth = growth_decomposition(s, max(n_max + 5, 45))
-    ladder = bispecial_ladder(s, n_max, word_cap=0)
     lam = growth.lam
     residuals = []
     scaled = []
-    for n, length in enumerate(ladder.lengths):
+    for n in range(n_max + 1):
         predicted = growth.gamma[0] * lam ** (n + 1) / (lam - 1.0)
-        r = length - predicted
+        r = s.ladder_length(n) - predicted
         residuals.append(r)
         scaled.append(r / lam**n)
     return LengthLawReport(lam, tuple(residuals), tuple(scaled))

@@ -155,39 +155,31 @@ def maximal_prefix(s: Substitution, x: Configuration) -> str:
     return x.head[: brute_delta(s, x.head)]
 
 
-def maximal_prefix_after_power(s: Substitution, x: Configuration, n: int) -> str:
-    """Longest language prefix of s^n(x): s^n(w) s^{n-1}(0) ... s(0) 0."""
+def maximal_prefix_after_power(s: Substitution, w: str, n: int) -> str:
+    """Longest language prefix of s^n(x), given the longest language prefix
+    w = maximal_prefix(s, x) of x: s^n(w) s^{n-1}(0) ... s(0) 0."""
     require_kbonacci(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    parts = [s.apply_power(n, maximal_prefix(s, x))]
+    parts = [s.apply_power(n, w)]
     parts.extend(s.power_image(l, 0) for l in range(n - 1, -1, -1))
     return "".join(parts)
 
 
-def delta_after_power(s: Substitution, x: Configuration, n: int) -> int:
-    """delta(s^n(x)) by the closed form |s^n(w)| + |s^{n-1}(0) ... s(0) 0|:
-    image lengths weighted by the letter counts of the maximal prefix w,
-    plus the ladder length."""
+def delta_after_power(s: Substitution, w: str, n: int) -> int:
+    """delta(s^n(x)) by the closed form |s^n(w)| + |s^{n-1}(0) ... s(0) 0|,
+    given the longest language prefix w = maximal_prefix(s, x) of x: image
+    lengths weighted by the letter counts of w, plus the ladder length.
+
+    The shifts of s^n(x) break one letter earlier per letter shifted:
+    delta(sigma^j s^n(x)) = delta_after_power(s, w, n) - j for n >= k and
+    0 <= j < |s^n(w[0])|.
+    """
     require_kbonacci(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = maximal_prefix(s, x)
     lengths = s.power_lengths(n)
     return sum(lengths[a] * w.count(str(a)) for a in range(s.k)) + s.ladder_length(n - 1)
-
-
-def delta_shifted(s: Substitution, x: Configuration, n: int, j: int) -> int:
-    """delta(sigma^j s^n(x)) = delta(s^n(x)) - j, valid for n >= k and
-    j < |s^n(x_0)|."""
-    require_kbonacci(s)
-    if n < s.k:
-        raise ValueError(f"shifted closed form requires n >= k = {s.k}")
-    x0 = int(x.prefix(s, 1))
-    limit = s.power_lengths(n)[x0]
-    if not 0 <= j < limit:
-        raise ValueError(f"shift j={j} outside [0, |s^{n}({x0})|={limit})")
-    return delta_after_power(s, x, n) - j
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def _renorm_power_closed(s: Substitution, V: Potential, x: Configuration, n: int
     require_kbonacci(s)
     if n < s.k:
         raise ValueError(f"closed-form mode requires n >= k = {s.k}")
-    big_delta = delta_after_power(s, x, n)  # raises if delta infinite/uncertified
+    big_delta = delta_after_power(s, maximal_prefix(s, x), n)  # raises if delta infinite/uncertified
     x0 = int(x.prefix(s, 1))
     block = s.power_lengths(n)[x0]
     if V.is_locally_trivial:

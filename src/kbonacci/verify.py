@@ -14,16 +14,12 @@ from typing import Callable
 import numpy as np
 
 from .potentials import Potential
-from .pressure import (
-    bispecial_ladder,
-    overlap_ratios,
-    pressure_bounds,
-    verify_ladder,
-)
+from .pressure import overlap_ratios, pressure_bounds, verify_ladder
 from .recognition import (
     brute_delta,
     cut_points,
-    delta_shifted,
+    delta_after_power,
+    maximal_prefix,
     power_prefix,
     tribonacci_appendix_checks,
     verify_recognizability,
@@ -72,15 +68,14 @@ def suite_delta(s: Substitution) -> list[CheckResult]:
     mismatches = 0
     checks = 0
     for x in sample_configurations(s, 8, seed=7):
+        w = maximal_prefix(s, x)
         for n in range(s.k, s.k + 3):
-            block = s.power_lengths(n)[int(x.head[0])]
-            word = None
+            block = s.power_lengths(n)[int(w[0])]
+            base = delta_after_power(s, w, n)
+            word = power_prefix(s, x, n, base + 4)
             for j in range(0, block, max(1, block // 8)):
-                closed = delta_shifted(s, x, n, j)
-                if word is None:
-                    word = power_prefix(s, x, n, closed + j + 4)
                 checks += 1
-                if brute_delta(s, word, j) != closed:
+                if brute_delta(s, word, j) != base - j:
                     mismatches += 1
     rows.append(_result("delta", "closed form vs scan", mismatches == 0, f"{checks} checks"))
     return rows
@@ -147,9 +142,8 @@ def suite_pressure(s: Substitution) -> list[CheckResult]:
     rows.append(_result("pressure", "exact at beta = 0", exact))
     lo5, hi5 = pressure_bounds(s, V0, 5.0, 10)
     rows.append(_result("pressure", "bracket ordered and nonnegative", 0.0 <= lo5 <= hi5))
-    ladder = bispecial_ladder(s, 35)
     lam = perron_root(s.k)
-    err = abs(overlap_ratios(ladder)[30] - 1.0 / lam)
+    err = abs(overlap_ratios(s, 35)[30] - 1.0 / lam)
     rows.append(_result("pressure", "overlap ratio -> 1/lambda", err < 1e-6, f"{err:.2e}"))
     rows.append(_result("pressure", "bispecials = ladder (<= 120)", verify_ladder(s, 120)))
     return rows

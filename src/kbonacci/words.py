@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import OutOfIndexError
+from .errors import BudgetExceededError, OutOfIndexError
 from .substitution import Substitution
 
 
@@ -59,12 +59,28 @@ def build_language(s: Substitution, depth: int) -> LanguageIndex:
     each shorter layer is the set of prefixes u[:-1] of the layer above.
     That is exact because the language of a primitive substitution is
     right-extendable: every word is a prefix of a word one letter longer.
+    Raises BudgetExceededError before the index holds more than
+    ``s.length_budget`` letters.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    layer = frozenset(w[i : i + depth] for w in s.two_blocks(depth) for i in range(len(w) - depth + 1))
+    blocks = s.two_blocks(depth)
+    # one length-depth word at most per slice position
+    letters = depth * sum(len(w) - depth + 1 for w in blocks)
+    _charge(s, letters, depth)
+    layer = frozenset(w[i : i + depth] for w in blocks for i in range(len(w) - depth + 1))
+    letters = depth * len(layer)
     sets = [layer]
-    for _ in range(depth):
+    for m in range(depth - 1, -1, -1):
         layer = frozenset(u[:-1] for u in layer)
+        letters += m * len(layer)
+        _charge(s, letters, depth)
         sets.append(layer)
     return LanguageIndex(depth, tuple(reversed(sets)))
+
+
+def _charge(s: Substitution, letters: int, depth: int) -> None:
+    if letters > s.length_budget:
+        raise BudgetExceededError(
+            f"language index of depth {depth} would hold over {s.length_budget} letters"
+        )

@@ -18,7 +18,6 @@ from kbonacci import (
     Configuration,
     CylinderFunction,
     Potential,
-    bispecial_ladder,
     brute_delta,
     convergence_study,
     cut_points,
@@ -38,7 +37,7 @@ from kbonacci import (
     verify_ladder,
     verify_recognizability,
 )
-from kbonacci.recognition import delta_shifted, power_prefix
+from kbonacci.recognition import delta_after_power, maximal_prefix, power_prefix
 from kbonacci.sampling import sample_configurations
 
 V0 = Potential.v0(1.0)
@@ -105,14 +104,16 @@ def test_04_delta_closed_forms():
     for k in (2, 3, 4):
         s = kbonacci(k)
         for x in sample_configurations(s, 20, seed=20 + k):
+            w = maximal_prefix(s, x)
             for n in range(s.k, 9):
                 block = s.power_lengths(n)[int(x.head[0])]
                 step = max(1, block // 6)
                 js = sorted(set(list(range(0, block, step)) + [block - 1]))
-                word = power_prefix(s, x, n, delta_shifted(s, x, n, 0) + 8)
+                base = delta_after_power(s, w, n)
+                word = power_prefix(s, x, n, base + 8)
                 for j in js:
                     checks += 1
-                    if delta_shifted(s, x, n, j) != brute_delta(s, word, j):
+                    if base - j != brute_delta(s, word, j):
                         mismatches += 1
     elapsed = time.time() - t0
     report(4, mismatches == 0 and checks >= 1000 and elapsed < 60,
@@ -173,7 +174,7 @@ def test_08_bispecial_ladder():
     t0 = time.time()
     ok = verify_ladder(kbonacci(2), 200) and verify_ladder(kbonacci(3), 200)
     for k in (2, 3):
-        ratios = overlap_ratios(bispecial_ladder(kbonacci(k), 35))
+        ratios = overlap_ratios(kbonacci(k), 35)
         ok &= abs(ratios[30] - 1.0 / perron_root(k)) < 1e-6
     elapsed = time.time() - t0
     report(8, ok and elapsed < 60,

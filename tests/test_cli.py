@@ -1,11 +1,19 @@
 import contextlib
 import io
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kbonacci.recognition
 from kbonacci.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -72,6 +80,40 @@ def test_unknown_command_exit_code():
 def test_budget_exit_code(capsys):
     code = main(["pressure", "--k", "3", "--depth", "25", "--beta-grid", "0.01:1:2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [["lang", "--k", "10", "--depth", "1000"],
+                                  ["lang", "--k", "2", "--depth", "100000"]])
+def test_language_index_past_the_length_budget_exits_3(argv):
+    # in a child capped at 2 GB of address space, so an unbudgeted index
+    # ends in a MemoryError there instead of filling the host's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "kbonacci.cli", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=cap, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert sum("budget exceeded:" in line for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, bisections", [(["delta", "--k", "3", "--samples", "4", "--n-max", "10"], 4),
+                                             (["verify", "--k", "3", "--suites", "delta"], 8)])
+def test_one_break_bisection_per_configuration(argv, bisections, monkeypatch, capsys):
+    # maximal_prefix bisects through recognition.brute_delta; verify's own
+    # scans of s^n(x) call the name imported into verify and are not counted
+    calls = []
+    original = kbonacci.recognition.brute_delta
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kbonacci.recognition, "brute_delta", counted)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == bisections
 
 
 def test_determinism(tmp_path):

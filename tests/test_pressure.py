@@ -159,14 +159,16 @@ def test_find_beta_c_crossing(s2):
 
 
 def test_ladder_lengths(s3, s2):
-    lad = bispecial_ladder(s3, 10)
-    assert lad.lengths[:5] == (1, 3, 7, 14, 27)
-    assert lad.words[0] == "0"
-    assert lad.words[1] == "010"
-    for n in range(len(lad.words) - 1):
-        assert lad.words[n + 1] == s3.apply(lad.words[n]) + "0"
-    lad2 = bispecial_ladder(s2, 8)
-    assert lad2.lengths[:4] == (1, 3, 6, 11)
+    lad = bispecial_ladder(s3, 100_000)
+    assert [s3.ladder_length(n) for n in range(5)] == [1, 3, 7, 14, 27]
+    assert [len(b) for b in lad] == [s3.ladder_length(n) for n in range(len(lad))]
+    assert s3.ladder_length(len(lad)) > 100_000
+    assert lad[0] == "0"
+    assert lad[1] == "010"
+    for n in range(len(lad) - 1):
+        assert lad[n + 1] == s3.apply(lad[n]) + "0"
+    assert [s2.ladder_length(n) for n in range(4)] == [1, 3, 6, 11]
+    assert [len(b) for b in bispecial_ladder(s2, 11)] == [1, 3, 6, 11]
 
 
 def test_ladder_is_exactly_the_bispecials(s2, s3):
@@ -180,21 +182,21 @@ def test_brute_bispecials_small(s3):
 
 def test_overlap_ratios(s3, s2):
     lam3 = perron_root(3)
-    r3 = overlap_ratios(bispecial_ladder(s3, 35))
+    r3 = overlap_ratios(s3, 35)
     assert abs(r3[30] - 1 / lam3) < 1e-6
     assert np.all(r3 < 1)
-    r2 = overlap_ratios(bispecial_ladder(s2, 35))
+    r2 = overlap_ratios(s2, 35)
     assert abs(r2[30] - 2 / (1 + math.sqrt(5))) < 1e-6
 
 
 def test_rung_overlaps_are_rung_lengths(s3):
-    lad = bispecial_ladder(s3, 9)
-    lengths = set(lad.lengths)
+    lad = bispecial_ladder(s3, s3.ladder_length(9))
+    lengths = {len(b) for b in lad}
     for i in range(2, 7):
         for j in range(i + 1, 8):
-            t = overlap_length(lad.words[i], lad.words[j])
+            t = overlap_length(lad[i], lad[j])
             assert t in lengths
-            assert t / min(len(lad.words[i]), len(lad.words[j])) < 1.0
+            assert t / min(len(lad[i]), len(lad[j])) < 1.0
 
 
 def test_recurrence_gaps(s3):

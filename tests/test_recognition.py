@@ -12,7 +12,6 @@ from kbonacci import (
     cut_points,
     delta,
     delta_after_power,
-    delta_shifted,
     distance_to_subshift,
     kbonacci,
     maximal_prefix,
@@ -63,9 +62,9 @@ def test_distance(s3):
 
 
 def test_maximal_prefix_after_power(s3):
-    assert maximal_prefix_after_power(s3, ZEROS, 1) == "01010"
-    w = maximal_prefix_after_power(s3, ZEROS, 3)
-    assert len(w) == delta_after_power(s3, ZEROS, 3) == 21
+    assert maximal_prefix_after_power(s3, "00", 1) == "01010"
+    w = maximal_prefix_after_power(s3, maximal_prefix(s3, ZEROS), 3)
+    assert len(w) == delta_after_power(s3, "00", 3) == 21
     assert w == "010201001020100102010"[: len(w)]
 
 
@@ -75,8 +74,9 @@ def test_break_formula_reads_one_maximal_prefix(k, seed, data):
     s = kbonacci(k)
     x = sample_configurations(s, 1, seed)[0]
     n = data.draw(st.integers(min_value=1, max_value=k + 3))
-    assert maximal_prefix(s, x) == x.head[: delta(s, x)]
-    assert len(maximal_prefix_after_power(s, x, n)) == delta_after_power(s, x, n)
+    w = maximal_prefix(s, x)
+    assert w == x.head[: delta(s, x)]
+    assert len(maximal_prefix_after_power(s, w, n)) == delta_after_power(s, w, n)
 
 
 @pytest.mark.parametrize("k, depth", [(2, 30), (3, 22), (4, 20), (5, 20)])
@@ -96,39 +96,42 @@ def test_maximal_prefix_rejects_the_subshift(s3):
 
 
 def test_delta_after_power_fibonacci(s2):
-    assert delta_after_power(s2, Configuration("110", "const", "1"), 4) == 16
+    x = Configuration("110", "const", "1")
+    assert delta_after_power(s2, maximal_prefix(s2, x), 4) == 16
 
 
 def test_closed_form_equals_scan(s3, s2, s4):
     for s in (s2, s3, s4):
         for x in sample_configurations(s, 5, seed=3):
+            w = maximal_prefix(s, x)
             for n in range(s.k, s.k + 2):
-                base = delta_after_power(s, x, n)
+                base = delta_after_power(s, w, n)
                 word = power_prefix(s, x, n, base + 8)
                 assert brute_delta(s, word, 0) == base
                 block = s.power_lengths(n)[int(x.head[0])]
                 for j in (1, block // 2, block - 1):
-                    assert delta_shifted(s, x, n, j) == brute_delta(s, word, j)
+                    assert base - j == brute_delta(s, word, j)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=0, max_value=1), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-def test_delta_shifted_equals_scan_on_random_configurations(k, seed, extra, where):
+def test_shifted_break_equals_scan_on_random_configurations(k, seed, extra, where):
     s = kbonacci(k)
     x = sample_configurations(s, 1, seed)[0]
     n = k + extra
     block = s.power_lengths(n)[int(x.head[0])]
     j = int(where * block)
-    word = power_prefix(s, x, n, delta_shifted(s, x, n, 0) + 1)
-    assert delta_shifted(s, x, n, j) == brute_delta(s, word, j)
+    base = delta_after_power(s, maximal_prefix(s, x), n)
+    word = power_prefix(s, x, n, base + 1)
+    assert base - j == brute_delta(s, word, j)
 
 
-def test_delta_shifted_guards(s3):
+def test_delta_after_power_guards(s3):
     with pytest.raises(ValueError):
-        delta_shifted(s3, ZEROS, 2, 0)  # n below k
+        delta_after_power(s3, "00", 0)  # n below range
     with pytest.raises(ValueError):
-        delta_shifted(s3, ZEROS, 3, 7)  # j beyond |s^3(0)|
+        maximal_prefix_after_power(s3, "00", 0)
 
 
 def test_cut_points(s3):
