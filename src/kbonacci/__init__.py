@@ -51,6 +51,7 @@ from .renorm import (
     convergence_study,
     eval_potential,
     fixed_point_U,
+    renorm_after_power,
     renorm_apply,
     renorm_once,
     renorm_power,

@@ -179,8 +179,7 @@ def cmd_renorm(args, s: Substitution, w: CsvWriter) -> int:
     for i, x in enumerate(configs):
         if args.mode == "study":
             study = convergence_study(s, V, x, n_max=args.n_max)
-            for n, value in study.rows:
-                method = "brute-force" if n < s.k else "closed-form"
+            for n, value, method in study.rows:
                 w.row(s.k, args.alpha, n, i, value, method)
             w.row(s.k, args.alpha, "", i, fixed_point_U(s, x), f"fixed-point:{study.verdict}")
         else:

@@ -206,6 +206,8 @@ def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
     # the first (window - 1) // shortest letters of omega.
     clipped = [min(length, window) for length in s.power_lengths(n)]
     letters = max(window - 1, 0) // max(min(clipped), 1)
+    if 8 * letters > s.length_budget:
+        raise BudgetExceededError(f"{letters} int64 cut-point sums, at 8 letters each, exceed budget")
     omega = np.frombuffer(s.fixed_prefix(letters).encode("ascii"), dtype=np.uint8) - ord("0")
     ends = np.cumsum(np.array(clipped, dtype=np.int64)[omega])
     return CutPointSet(n, window, (0, *ends[: np.searchsorted(ends, window)].tolist()))

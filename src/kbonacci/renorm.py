@@ -3,8 +3,8 @@
 (RV)(x) sums V over the |s(x_0)| shifts of s(x).  Powers are available
 either by brute force (materialize s^n(x) and scan breaks with the
 language oracle) or in closed form (break positions from the shifted
-delta formula, valid for n >= k), and the two paths cross-check each
-other in the tests.
+delta formula, valid for n >= k, read off the longest language prefix
+of x), and the two paths cross-check each other in the tests.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from .recognition import (
     delta_after_power,
     INFINITE,
     maximal_prefix,
+    maximal_prefix_after_power,
     power_prefix,
 )
 from .spectral import left_eigenvector, perron_root
-from .substitution import Substitution, is_kbonacci, require_kbonacci
+from .substitution import Substitution, require_kbonacci
 
 MODES = ("closed-form", "brute-force")
 
@@ -110,36 +111,34 @@ def renorm_power(
     if x.in_subshift:
         return 0.0
     if mode == "closed-form":
-        return _renorm_power_closed(s, V, x, n)
+        return renorm_after_power(s, V, maximal_prefix(s, x), n)
     return _renorm_power_brute(s, V, x, n)
 
 
-def _renorm_power_closed(s: Substitution, V: Potential, x: Configuration, n: int) -> float:
+def renorm_after_power(s: Substitution, V: Potential, w: str, n: int) -> float:
+    """(R^n V)(x) in closed form from w = maximal_prefix(s, x), x off the subshift.
+    Domain: k-bonacci, n >= k and V.order <= s.ladder_length(n - 1) + 1
+    (at least 2^k at n = k), which keeps every window read inside
+    maximal_prefix_after_power(s, w, n); a larger order raises ValueError."""
+    V.validate_for(s)
     require_kbonacci(s)
     if n < s.k:
         raise ValueError(f"closed-form mode requires n >= k = {s.k}")
-    big_delta = delta_after_power(s, maximal_prefix(s, x), n)  # raises if delta infinite/uncertified
-    x0 = int(x.prefix(s, 1))
-    block = s.power_lengths(n)[x0]
+    if V.order > s.ladder_length(n - 1) + 1:
+        raise ValueError(f"potential order {V.order} exceeds s.ladder_length({n - 1}) + 1")
+    big_delta = delta_after_power(s, w, n)
+    block = s.power_lengths(n)[int(w[0])]
     if V.is_locally_trivial:
         numer = V.numerator_range("", s.k)[0]
         return numer * _inverse_power_sum(V.alpha, big_delta - block + 1, big_delta)
-    word = power_prefix(s, x, n, block + V.order)
-    arr = np.frombuffer(word[: block + V.order].encode(), dtype=np.uint8) - ord("0")
+    word = maximal_prefix_after_power(s, w, n)[: block + V.order - 1]
+    arr = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
     code = np.zeros(block, dtype=np.int64)
     for t in range(V.order):
         code = code * s.k + arr[t : t + block]
-    table = np.array(
-        [V.numerator("".join(w)) for w in itertools.product(*[
-            [str(a) for a in range(s.k)]
-        ] * V.order)]
-    )
-    numerators = table[code]
+    table = np.array([V.numerator("".join(u)) for u in itertools.product(map(str, range(s.k)), repeat=V.order)])
     depths = big_delta - np.arange(block, dtype=np.float64)
-    terms = numerators * depths ** (-V.alpha)
-    if block <= 200_000:
-        return math.fsum(terms.tolist())
-    return float(np.sum(terms))
+    return math.fsum((table[code] * depths ** (-V.alpha)).tolist())
 
 
 def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
@@ -245,10 +244,10 @@ def verify_fixed_point(s: Substitution, samples: Sequence[Configuration]) -> flo
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Table of (n, R^n V(x)) values with a verdict on the tail behaviour."""
+    """Table of (n, R^n V(x), method) rows with a verdict on the tail behaviour."""
 
     alpha: float
-    rows: tuple[tuple[int, float], ...]
+    rows: tuple[tuple[int, float, str], ...]
     verdict: str            # "vanishes" | "diverges" | "converges"
     limit: float | None
     growth_exponent: float | None
@@ -260,27 +259,32 @@ DIVERGENCE_THRESHOLD = 1e6
 def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: int = 25) -> ConvergenceStudy:
     """Iterate the operator and classify the tail of R^n V(x).
 
-    The verdict comes from the step ratio R^{n+1}V / R^nV over the last
-    few iterates, which settles near lambda^{1-alpha}: above 1 the values
-    diverge, below 1 they vanish, and at 1 they converge to a nonzero
-    limit.  The fitted per-step growth exponent (base lambda) is reported
-    in the diverging case.
+    Levels n < k take the brute-force oracle, the others the closed form
+    from the longest language prefix of x.  The verdict comes from the step
+    ratio R^{n+1}V / R^nV over the last few iterates, which settles near
+    lambda^{1-alpha}: above 1 the values diverge, below 1 they vanish, and
+    at 1 they converge to a nonzero limit.  The fitted per-step growth
+    exponent (base lambda) is reported in the diverging case.
     """
+    require_kbonacci(s)
+    w = None if x.in_subshift else maximal_prefix(s, x)
     rows = []
     for n in range(n_max + 1):
-        mode = "brute-force" if n < s.k else "closed-form"
-        value = renorm_power(s, V, x, n, mode=mode)
-        rows.append((n, value))
+        method = "brute-force" if n < s.k else "closed-form"
+        if method == "brute-force":
+            value = renorm_power(s, V, x, n, mode=method)
+        else:
+            value = 0.0 if w is None else renorm_after_power(s, V, w, n)
+        rows.append((n, value, method))
         if value > DIVERGENCE_THRESHOLD:
             break
-    values = [v for _, v in rows]
+    values = [v for _, v, _ in rows]
     tail = values[-5:]
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
     rho = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
     # a ratio within 2% of 1 counts as converging
     if rho > 1.02:
-        lam = _perron_pair(s.k)[0] if is_kbonacci(s) else None
-        exponent = math.log(rho) / math.log(lam) if lam else math.log(rho)
+        exponent = math.log(rho) / math.log(_perron_pair(s.k)[0])
         return ConvergenceStudy(V.alpha, tuple(rows), "diverges", None, exponent)
     if rho < 0.98:
         return ConvergenceStudy(V.alpha, tuple(rows), "vanishes", 0.0, None)

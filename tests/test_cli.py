@@ -83,7 +83,8 @@ def test_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [["lang", "--k", "10", "--depth", "1000"],
-                                  ["lang", "--k", "2", "--depth", "100000"]])
+                                  ["lang", "--k", "2", "--depth", "100000"],
+                                  ["recog", "--k", "2", "--window", "100000000"]])
 def test_language_index_past_the_length_budget_exits_3(argv):
     # in a child capped at 2 GB of address space, so an unbudgeted index
     # ends in a MemoryError there instead of filling the host's memory
@@ -99,10 +100,12 @@ def test_language_index_past_the_length_budget_exits_3(argv):
 
 
 @pytest.mark.parametrize("argv, bisections", [(["delta", "--k", "3", "--samples", "4", "--n-max", "10"], 4),
-                                             (["verify", "--k", "3", "--suites", "delta"], 8)])
+                                             (["verify", "--k", "3", "--suites", "delta"], 8),
+                                             (["renorm", "--k", "3", "--samples", "2", "--n-max", "10"], 10)])
 def test_one_break_bisection_per_configuration(argv, bisections, monkeypatch, capsys):
-    # maximal_prefix bisects through recognition.brute_delta; verify's own
-    # scans of s^n(x) call the name imported into verify and are not counted
+    # delta and maximal_prefix bisect through recognition.brute_delta; the
+    # scans of s^n(x) by verify and by brute-force renorm call the names
+    # imported into those modules and are not counted
     calls = []
     original = kbonacci.recognition.brute_delta
 

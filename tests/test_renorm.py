@@ -14,6 +14,8 @@ from kbonacci import (
     fixed_point_U,
     kbonacci,
     letter_frequencies,
+    maximal_prefix,
+    renorm_after_power,
     renorm_apply,
     renorm_once,
     renorm_power,
@@ -47,6 +49,8 @@ def test_entry_points_validate_the_potential(s3):
     for mode in ("closed-form", "brute-force"):
         with pytest.raises(ValueError, match="h must vanish"):
             renorm_power(s3, bad, ZEROS, 3, mode=mode)
+    with pytest.raises(ValueError, match="h must vanish"):
+        renorm_after_power(s3, bad, "00", 3)
     birkhoff_bounds(s3, V0, 4)
     renorm_power(s3, V0, ZEROS, 3)
 
@@ -111,6 +115,45 @@ def test_closed_form_matches_brute_force_for_a_general_numerator(k, order, alpha
     closed = renorm_power(s, V, x, n, mode="closed-form")
     brute = renorm_power(s, V, x, n, mode="brute-force")
     assert abs(closed - brute) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=2), st.floats(min_value=0.25, max_value=3.0),
+       st.data())
+def test_configurations_sharing_a_maximal_prefix_share_the_closed_form(k, order, alpha, data):
+    # R^n V(x) depends on x only through w = maximal_prefix(s, x): every
+    # configuration w a ... with wa outside the language has the same value.
+    s = kbonacci(k)
+    letters = "012"[:k]
+    windows = ["".join(u) for u in itertools.product(letters, repeat=order)]
+    values = data.draw(st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=len(windows),
+                                max_size=len(windows)))
+    V = Potential(alpha, CylinderFunction(order, dict(zip(windows, values))), CylinderFunction.constant(0.0))
+    index = s.language(9)
+    prefixes = [u for m in range(1, 9) for u in sorted(index.words(m))
+                if any(u + a not in index.words(m + 1) for a in letters)]
+    w = data.draw(st.sampled_from(prefixes))
+    blocked = [a for a in letters if w + a not in index.words(len(w) + 1)]
+    n = data.draw(st.integers(min_value=k, max_value=k + 2))
+    closed = renorm_after_power(s, V, w, n)
+    for _ in range(2):
+        head = w + data.draw(st.sampled_from(blocked)) + data.draw(st.text(letters, max_size=3))
+        x = Configuration(head, "const", data.draw(st.sampled_from(letters)))
+        assert maximal_prefix(s, x) == w
+        assert abs(renorm_power(s, V, x, n, mode="brute-force") - closed) < 1e-12
+
+
+def test_closed_form_order_domain(s2):
+    # at n = 2 every window read lies inside the longest language prefix of
+    # s^n(x) up to order ladder_length(1) + 1 = 4; a larger order raises
+    def of_order(order):
+        return Potential(1.0, CylinderFunction.indicator("0" * order, 1.0, base=1.0), CylinderFunction.constant(0.0))
+
+    bound = s2.ladder_length(1) + 1
+    assert renorm_after_power(s2, of_order(bound), "00", 2) == pytest.approx(
+        renorm_power(s2, of_order(bound), ZEROS, 2, mode="brute-force"), abs=1e-12)
+    with pytest.raises(ValueError, match="order"):
+        renorm_after_power(s2, of_order(bound + 1), "00", 2)
 
 
 def test_iterates_converge_to_fixed_point(s3):
