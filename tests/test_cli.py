@@ -99,6 +99,22 @@ def test_language_index_past_the_length_budget_exits_3(argv):
     assert sum("budget exceeded:" in line for line in proc.stderr.splitlines()) == 1
 
 
+def test_the_runtime_does_not_import_mpmath():
+    # mpmath is a test oracle only; verify --k 3 --suites renorm sums
+    # inverse powers over ranges of 3.9 M terms
+    script = "\n".join([
+        "import sys",
+        "from kbonacci.cli import main",
+        "codes = [main(['renorm', '--mode', 'study', '--k', '4', '--n-max', '20', '--alpha', '0.5']),",
+        "         main(['verify', '--k', '3', '--suites', 'renorm'])]",
+        "print(codes, 'mpmath' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 @pytest.mark.parametrize("argv, bisections", [(["delta", "--k", "3", "--samples", "4", "--n-max", "10"], 4),
                                              (["verify", "--k", "3", "--suites", "delta"], 8),
                                              (["renorm", "--k", "3", "--samples", "2", "--n-max", "10"], 10)])
@@ -259,7 +275,8 @@ def test_options_line_records_the_loaded_substitutions_k(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["delta", "--k", "2", "--n-max", "1", "--samples", "1"],
-                                  ["recog", "--k", "3", "--n-max", "2"]])
+                                  ["recog", "--k", "3", "--n-max", "2"],
+                                  ["renorm", "--k", "3", "--n-max", "1", "--alpha", "1"]])
 def test_n_max_below_k_is_a_usage_error(argv, capsys):
     assert_usage_error(capsys, main(argv))
 

@@ -1,8 +1,9 @@
 import itertools
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import (
     Configuration,
@@ -24,6 +25,7 @@ from kbonacci import (
     tribonacci_fixed_point_cases,
     verify_fixed_point,
 )
+from kbonacci.renorm import _DIRECT_SPAN, _inverse_power_sum
 from kbonacci.sampling import sample_configurations
 
 ZEROS = Configuration("0000", "const", "0")
@@ -187,3 +189,53 @@ def test_renorm_apply_linear(s3):
     assert combined == pytest.approx(
         renorm_apply(s3, f, ZEROS) + 2.0 * renorm_apply(s3, g, ZEROS), abs=1e-12
     )
+
+
+# -- the inverse-power sum of the V0 closed form ------------------------------
+
+INVERSE_POWER_ALPHAS = st.floats(min_value=0.0, max_value=4.0, exclude_min=True)
+
+
+def _term_by_term(alpha, lo, hi):
+    return math.fsum(d ** -alpha for d in range(lo, hi + 1))
+
+
+def test_inverse_power_sum_is_term_by_term_up_to_the_direct_span(s2, s3, s4):
+    # verify's closed form = brute force check reads blocks of at most
+    # |s^(k+2)(0)| terms; those sums stay term by term, bit for bit
+    for s in (s2, s3, s4):
+        assert s.power_lengths(s.k + 2)[0] - 1 <= _DIRECT_SPAN
+    for alpha in (0.5, 1.0, 1.37, 2.0, 4.0):
+        for lo, span in ((1, 0), (7, 55), (1, _DIRECT_SPAN), (10**6, _DIRECT_SPAN)):
+            assert _inverse_power_sum(alpha, lo, lo + span) == _term_by_term(alpha, lo, lo + span)
+    assert _inverse_power_sum(1.0, 5, 4) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(INVERSE_POWER_ALPHAS, st.integers(min_value=1, max_value=10**6),
+       st.integers(min_value=_DIRECT_SPAN + 1, max_value=10**9))
+@example(1.0, 1, 10**9)
+@example(1.0 + 2**-40, 64, _DIRECT_SPAN + 1)
+@example(1.0 - 2**-40, 10**6, 10**9)
+@example(4.0, 1, _DIRECT_SPAN + 1)
+@example(4.0, 64, _DIRECT_SPAN + 1)
+def test_inverse_power_sum_matches_the_hurwitz_zeta_difference(alpha, lo, span):
+    # sum_{d=lo}^{hi} d^-alpha = zeta(alpha, lo) - zeta(alpha, hi + 1), or
+    # psi(hi + 1) - psi(lo) at alpha = 1, at 50 digits
+    hi = lo + span
+    with mpmath.workdps(50):
+        if alpha == 1.0:
+            exact = float(mpmath.psi(0, hi + 1) - mpmath.psi(0, lo))
+        else:
+            exact = float(mpmath.zeta(alpha, lo) - mpmath.zeta(alpha, hi + 1))
+    assert abs(_inverse_power_sum(alpha, lo, hi) - exact) <= math.ulp(exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(INVERSE_POWER_ALPHAS, st.integers(min_value=1, max_value=10**6),
+       st.integers(min_value=_DIRECT_SPAN, max_value=_DIRECT_SPAN + 20_000))
+@example(4.0, 1, _DIRECT_SPAN + 1)
+@example(1.0, 64, _DIRECT_SPAN + 1)
+def test_inverse_power_sum_matches_the_term_by_term_sum_past_the_direct_span(alpha, lo, span):
+    expected = _term_by_term(alpha, lo, lo + span)
+    assert abs(_inverse_power_sum(alpha, lo, lo + span) - expected) <= math.ulp(expected)
