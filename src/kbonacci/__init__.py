@@ -35,6 +35,7 @@ from .recognition import (
     Configuration,
     CutPointSet,
     INFINITE,
+    advance_break,
     brute_delta,
     cut_points,
     delta,

@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, KbonacciError
 from .potentials import Potential
 from .pressure import DEFAULT_TOL, default_beta_grid, find_beta_c, pressure_curve
 from .recognition import Configuration, cut_points, delta_after_power, maximal_prefix, verify_recognizability
-from .renorm import MODES, convergence_study, fixed_point_U, renorm_power
+from .renorm import MODES, convergence_study, renorm_power
 from .sampling import sample_configurations
 from .spectral import growth_decomposition, left_eigenvector
 from .substitution import Substitution, kbonacci, require_kbonacci
@@ -181,7 +181,7 @@ def cmd_renorm(args, s: Substitution, w: CsvWriter) -> int:
             study = convergence_study(s, V, x, n_max=args.n_max)
             for n, value, method in study.rows:
                 w.row(s.k, args.alpha, n, i, value, method)
-            w.row(s.k, args.alpha, "", i, fixed_point_U(s, x), f"fixed-point:{study.verdict}")
+            w.row(s.k, args.alpha, "", i, study.fixed_point, f"fixed-point:{study.verdict}")
         else:
             value = renorm_power(s, V, x, args.n_max, mode=args.mode)
             w.row(s.k, args.alpha, args.n_max, i, value, args.mode)
@@ -222,71 +222,94 @@ def cmd_verify(args, s: Substitution, w: CsvWriter) -> int:
 # -- argument wiring -----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kbonacci",
-        description="k-bonacci substitution combinatorics and pressure experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p: argparse.ArgumentParser, seed=True):
+    p.add_argument("--k", type=int, default=3, help="k-bonacci parameter (>= 2)")
+    p.add_argument("--substitution", help="substitution file overriding --k")
+    p.add_argument("--out", help="output path (default: stdout)")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="seed for sampled configurations")
 
-    def common(p: argparse.ArgumentParser, seed=True):
-        p.add_argument("--k", type=int, default=3, help="k-bonacci parameter (>= 2)")
-        p.add_argument("--substitution", help="substitution file overriding --k")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="seed for sampled configurations")
 
-    p = sub.add_parser("lang", help="complexity and special-word tables")
-    common(p, seed=False)
+def _lang_options(p: argparse.ArgumentParser):
+    _common(p, seed=False)
     p.add_argument("--depth", type=non_negative_int, default=12)
-    p.set_defaults(func=cmd_lang)
 
-    p = sub.add_parser("delta", help="break positions and closed-form checks")
-    common(p)
+
+def _delta_options(p: argparse.ArgumentParser):
+    _common(p)
     p.add_argument("--samples", type=non_negative_int, default=10)
     p.add_argument("--n-max", type=non_negative_int, default=6)
     p.add_argument("--config", help="file of configuration lines (head=... tail=...)")
-    p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("recog", help="cut-point scans of the fixed point")
-    common(p, seed=False)
+
+def _recog_options(p: argparse.ArgumentParser):
+    _common(p, seed=False)
     p.add_argument("--n-max", type=non_negative_int, default=6)
     p.add_argument("--window", type=non_negative_int, default=100_000)
-    p.set_defaults(func=cmd_recog)
 
-    p = sub.add_parser("spectral", help="Perron data and growth coefficients")
-    common(p, seed=False)
-    p.set_defaults(func=cmd_spectral)
 
-    p = sub.add_parser("renorm", help="renormalization iterates")
-    common(p)
+def _spectral_options(p: argparse.ArgumentParser):
+    _common(p, seed=False)
+
+
+def _renorm_options(p: argparse.ArgumentParser):
+    _common(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--n-max", type=non_negative_int, default=20)
     p.add_argument("--samples", type=non_negative_int, default=5)
     p.add_argument("--config", help="file of configuration lines")
     p.add_argument("--mode", choices=[*MODES, "study"], default="study")
-    p.set_defaults(func=cmd_renorm)
 
-    p = sub.add_parser("pressure", help="pressure curves and transition report")
-    common(p, seed=False)
+
+def _pressure_options(p: argparse.ArgumentParser):
+    _common(p, seed=False)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--depth", type=non_negative_int, default=10)
     p.add_argument("--beta-grid", type=_parse_beta_grid, default=default_beta_grid())
     p.add_argument("--tol", type=positive_finite_float, default=DEFAULT_TOL)
     p.add_argument("--statistic", choices=["raw", "excess"], default="raw")
-    p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("verify", help="run the property suites")
-    common(p, seed=False)
+
+def _verify_options(p: argparse.ArgumentParser):
+    _common(p, seed=False)
     p.add_argument("--suites", help="comma-separated suite names (default: all)")
-    p.set_defaults(func=cmd_verify)
 
+
+COMMANDS = {
+    "lang": ("complexity and special-word tables", cmd_lang, _lang_options),
+    "delta": ("break positions and closed-form checks", cmd_delta, _delta_options),
+    "recog": ("cut-point scans of the fixed point", cmd_recog, _recog_options),
+    "spectral": ("Perron data and growth coefficients", cmd_spectral, _spectral_options),
+    "renorm": ("renormalization iterates", cmd_renorm, _renorm_options),
+    "pressure": ("pressure curves and transition report", cmd_pressure, _pressure_options),
+    "verify": ("run the property suites", cmd_verify, _verify_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given one command's name, a parser
+    holding that command alone: argparse builds each subparser eagerly,
+    and the seven together cost about as much as a small command."""
+    parser = argparse.ArgumentParser(
+        prog="kbonacci",
+        description="k-bonacci substitution combinatorics and pressure experiments",
+    )
+    # A parser built for one command still names all of them in its usage
+    # line; the full parser keeps argparse's own, which also names the
+    # missing argument "command".
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, func, add_options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         s = _load_substitution(args)
         w = CsvWriter(_config_line(args, s))

@@ -143,6 +143,26 @@ def brute_delta(s: Substitution, word: str, start: int = 0) -> int:
     return lo
 
 
+def advance_break(s: Substitution, word: str, start: int, end: int) -> int:
+    """start + brute_delta(s, word, start), given that word[start:end] is in
+    the language.
+
+    Advances end one letter per passing query and stops at the first
+    failing one (membership is prefix-monotone).  Since the language is
+    factorial, the previous start's break end, or start itself if larger,
+    is a valid `end`: a sweep over every start makes one failing query per
+    start plus one per letter the end advances.  Raises if the break is
+    not witnessed inside the word.
+    """
+    while end < len(word) and in_language(s, word[start : end + 1]):
+        end += 1
+    if end == len(word):
+        raise UncertifiedConfigurationError(
+            f"all {end - start} letters lie in the language; break position uncertified"
+        )
+    return end
+
+
 def maximal_prefix(s: Substitution, x: Configuration) -> str:
     """The longest language prefix w of x, so delta(x) = |w|.
 

@@ -1,8 +1,9 @@
 """The renormalization operator, its powers, and the explicit fixed point.
 
 (RV)(x) sums V over the |s(x_0)| shifts of s(x).  Powers are available
-either by brute force (materialize s^n(x) and scan breaks with the
-language oracle) or in closed form (break positions from the shifted
+either by brute force (materialize s^n(x) and sweep its breaks with the
+language oracle, one bisection and then one failing query per shift) or
+in closed form (break positions from the shifted
 delta formula, valid for n >= k, read off the longest language prefix
 of x), and the two paths cross-check each other in the tests.
 """
@@ -21,16 +22,17 @@ from .errors import UncertifiedConfigurationError
 from .potentials import Potential
 from .recognition import (
     Configuration,
+    advance_break,
     brute_delta,
     delta,
     delta_after_power,
-    INFINITE,
     maximal_prefix,
     maximal_prefix_after_power,
     power_prefix,
 )
 from .spectral import left_eigenvector, perron_root
 from .substitution import Substitution, require_kbonacci
+from .words import in_language
 
 MODES = ("closed-form", "brute-force")
 
@@ -72,9 +74,10 @@ def shift_config(s: Substitution, x: Configuration, j: int) -> Configuration:
 
 def eval_potential(s: Substitution, V: Potential, x: Configuration) -> float:
     """(g + h)(first letters) / delta^alpha; zero on the subshift."""
-    p = delta(s, x)
-    if p == INFINITE:
-        return 0.0
+    return 0.0 if x.in_subshift else _potential_at_break(V, x, delta(s, x))
+
+
+def _potential_at_break(V: Potential, x: Configuration, p: int) -> float:
     if len(x.head) < V.order:
         raise ValueError(f"head of length {len(x.head)} shorter than potential order {V.order}")
     return V.numerator(x.head[: V.order]) / float(p) ** V.alpha
@@ -192,21 +195,36 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
 
 
 def _renorm_power_brute(s: Substitution, V: Potential, x: Configuration, n: int) -> float:
-    delta(s, x)  # raises unless the head contains its break
+    # the head contains its break iff the head is not in the language: one query
+    if in_language(s, x.head):
+        raise UncertifiedConfigurationError(
+            f"all {len(x.head)} letters lie in the language; break position uncertified"
+        )
     lengths = s.power_lengths(n)
     block = lengths[int(x.prefix(s, 1))]
     length = sum(lengths[int(c)] for c in x.head) + s.ladder_length(n - 1) + V.order + 2
-    word = power_prefix(s, x, n, length)
-    terms = []
-    for j in range(block):
+    breaks, word = _sweep_breaks(s, x, n, power_prefix(s, x, n, length), block)
+    return math.fsum(V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha for j, dj in enumerate(breaks))
+
+
+def _sweep_breaks(s: Substitution, x: Configuration, n: int, word: str, count: int) -> tuple[list[int], str]:
+    """The breaks delta(sigma^j s^n(x)) for j < count, and the prefix of
+    s^n(x) they were read off: `word`, doubled while a break reaches its end.
+
+    One bisection at j = 0, then a two-pointer sweep: the break end j + delta_j
+    never decreases in j, so each start resumes at the previous end.
+    """
+    breaks = []
+    end = 0
+    for j in range(count):
         while True:
             try:
-                dj = brute_delta(s, word, j)
+                end = brute_delta(s, word, 0) if j == 0 else advance_break(s, word, j, max(end, j))
                 break
             except UncertifiedConfigurationError:
                 word = power_prefix(s, x, n, 2 * len(word))
-        terms.append(V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha)
-    return math.fsum(terms)
+        breaks.append(end - j)
+    return breaks, word
 
 
 # -- the explicit fixed point ------------------------------------------------
@@ -226,10 +244,12 @@ def fixed_point_U(s: Substitution, x: Configuration) -> float:
     continuous extension.
     """
     require_kbonacci(s)
-    if x.in_subshift:
-        return 0.0
+    return 0.0 if x.in_subshift else _fixed_point_from(s, maximal_prefix(s, x))
+
+
+def _fixed_point_from(s: Substitution, w: str) -> float:
+    """fixed_point_U given w = maximal_prefix(s, x)."""
     lam, v = _perron_pair(s.k)
-    w = maximal_prefix(s, x)
     x0 = int(w[0])
     denom = lam / (lam - 1.0) + sum(v[a] * w.count(str(a)) for a in range(s.k)) - v[x0]
     return math.log1p(v[x0] / denom)
@@ -278,13 +298,16 @@ def verify_fixed_point(s: Substitution, samples: Sequence[Configuration]) -> flo
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Table of (n, R^n V(x), method) rows with a verdict on the tail behaviour."""
+    """Table of (n, R^n V(x), method) rows with a verdict on the tail
+    behaviour, and the fixed point U(x) read off the same longest language
+    prefix of x."""
 
     alpha: float
     rows: tuple[tuple[int, float, str], ...]
     verdict: str            # "vanishes" | "diverges" | "converges"
     limit: float | None
     growth_exponent: float | None
+    fixed_point: float
 
 
 DIVERGENCE_THRESHOLD = 1e6
@@ -305,14 +328,19 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
     require_kbonacci(s)
     if n_max < s.k:
         raise ValueError(f"n_max must be at least k = {s.k}, got {n_max}")
+    V.validate_for(s)  # a point of the subshift reaches no level that validates
     w = None if x.in_subshift else maximal_prefix(s, x)
     rows = []
     for n in range(n_max + 1):
         method = "brute-force" if n < s.k else "closed-form"
-        if method == "brute-force":
+        if w is None:
+            value = 0.0
+        elif n == 0:
+            value = _potential_at_break(V, x, len(w))
+        elif method == "brute-force":
             value = renorm_power(s, V, x, n, mode=method)
         else:
-            value = 0.0 if w is None else renorm_after_power(s, V, w, n)
+            value = renorm_after_power(s, V, w, n)
         rows.append((n, value, method))
         if value > DIVERGENCE_THRESHOLD:
             break
@@ -320,10 +348,11 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
     tail = values[-5:]
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
     rho = float(np.exp(np.mean(np.log(ratios)))) if ratios else 0.0
+    U = 0.0 if w is None else _fixed_point_from(s, w)
     # a ratio within 2% of 1 counts as converging
     if rho > 1.02:
         exponent = math.log(rho) / math.log(_perron_pair(s.k)[0])
-        return ConvergenceStudy(V.alpha, tuple(rows), "diverges", None, exponent)
+        return ConvergenceStudy(V.alpha, tuple(rows), "diverges", None, exponent, U)
     if rho < 0.98:
-        return ConvergenceStudy(V.alpha, tuple(rows), "vanishes", 0.0, None)
-    return ConvergenceStudy(V.alpha, tuple(rows), "converges", values[-1], None)
+        return ConvergenceStudy(V.alpha, tuple(rows), "vanishes", 0.0, None, U)
+    return ConvergenceStudy(V.alpha, tuple(rows), "converges", values[-1], None, U)

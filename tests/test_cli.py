@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kbonacci.recognition
+from kbonacci import cli
 from kbonacci.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -65,6 +67,55 @@ def test_verify_full_small_k(capsys):
     assert code == 0, out
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert len(cli.COMMANDS) == 7
+    for name, (help_text, _, _) in cli.COMMANDS.items():
+        assert f"    {name:<20}{help_text}\n" in out
+
+
+def test_a_parser_built_for_one_command_has_that_commands_options():
+    def options(parser):
+        return [(a.option_strings, a.dest, repr(a.default), a.choices, a.type, a.help) for a in parser._actions]
+
+    full = _subparsers(cli.build_parser())
+    assert list(full) == list(cli.COMMANDS)
+    for name in cli.COMMANDS:
+        alone = _subparsers(cli.build_parser(name))
+        assert list(alone) == [name]
+        assert options(alone[name]) == options(full[name])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["delta", "--help"], ["bogus"], [], ["delta", "--bogus"],
+                                  ["renorm", "--mode", "x"], ["lang", "--k", "2", "--depth", "3"]])
+def test_main_answers_as_with_the_full_parser(argv, monkeypatch, capsys):
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    answer = outcome()
+    assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert outcome() == answer
+    if argv == ["delta", "--bogus"]:
+        assert answer[2].startswith("usage: kbonacci [-h] {lang,delta,recog,spectral,renorm,pressure,verify} ...\n")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["pressure", "--depth", "not-a-number"])
@@ -117,7 +168,7 @@ def test_the_runtime_does_not_import_mpmath():
 
 @pytest.mark.parametrize("argv, bisections", [(["delta", "--k", "3", "--samples", "4", "--n-max", "10"], 4),
                                              (["verify", "--k", "3", "--suites", "delta"], 8),
-                                             (["renorm", "--k", "3", "--samples", "2", "--n-max", "10"], 10)])
+                                             (["renorm", "--k", "3", "--samples", "2", "--n-max", "10"], 2)])
 def test_one_break_bisection_per_configuration(argv, bisections, monkeypatch, capsys):
     # delta and maximal_prefix bisect through recognition.brute_delta; the
     # scans of s^n(x) by verify and by brute-force renorm call the names

@@ -8,6 +8,7 @@ from kbonacci import (
     CutPointSet,
     Substitution,
     INFINITE,
+    advance_break,
     brute_delta,
     cut_points,
     delta,
@@ -125,6 +126,16 @@ def test_shifted_break_equals_scan_on_random_configurations(k, seed, extra, wher
     base = delta_after_power(s, maximal_prefix(s, x), n)
     word = power_prefix(s, x, n, base + 1)
     assert base - j == brute_delta(s, word, j)
+
+
+def test_advance_break_from_the_start_is_the_scan(s2, s3):
+    for s in (s2, s3):
+        for x in sample_configurations(s, 3, seed=5):
+            word = power_prefix(s, x, s.k, 3 * len(x.head) + 40)
+            for j in range(len(word) // 2):
+                assert advance_break(s, word, j, j) == j + brute_delta(s, word, j)
+    with pytest.raises(UncertifiedConfigurationError):
+        advance_break(s3, s3.fixed_prefix(20), 0, 5)
 
 
 def test_delta_after_power_guards(s3):

@@ -10,12 +10,14 @@ from kbonacci import (
     CylinderFunction,
     Potential,
     birkhoff_bounds,
+    brute_delta,
     convergence_study,
     eval_potential,
     fixed_point_U,
     kbonacci,
     letter_frequencies,
     maximal_prefix,
+    power_prefix,
     renorm_after_power,
     renorm_apply,
     renorm_once,
@@ -25,7 +27,9 @@ from kbonacci import (
     tribonacci_fixed_point_cases,
     verify_fixed_point,
 )
-from kbonacci.renorm import _DIRECT_SPAN, _inverse_power_sum
+from kbonacci import recognition
+from kbonacci.errors import UncertifiedConfigurationError
+from kbonacci.renorm import _DIRECT_SPAN, _inverse_power_sum, _sweep_breaks
 from kbonacci.sampling import sample_configurations
 
 ZEROS = Configuration("0000", "const", "0")
@@ -239,3 +243,57 @@ def test_inverse_power_sum_matches_the_hurwitz_zeta_difference(alpha, lo, span):
 def test_inverse_power_sum_matches_the_term_by_term_sum_past_the_direct_span(alpha, lo, span):
     expected = _term_by_term(alpha, lo, lo + span)
     assert abs(_inverse_power_sum(alpha, lo, lo + span) - expected) <= math.ulp(expected)
+
+
+def test_powers_reject_a_head_without_its_break(s3):
+    x = Configuration("0102", "const", "0")  # a factor of omega, so its break lies in the tail
+    for n in (1, 2, 3):
+        with pytest.raises(UncertifiedConfigurationError):
+            renorm_power(s3, V0, x, n, "brute-force")
+    with pytest.raises(UncertifiedConfigurationError):
+        renorm_power(s3, V0, x, 3)
+
+
+# -- the break sweep of brute-force renormalization ---------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_break_sweep_equals_one_bisection_per_start(k, seed, data):
+    s = kbonacci(k)
+    x = sample_configurations(s, 1, seed)[0]
+    n = data.draw(st.integers(1, k + 3), label="n")
+    block = s.power_lengths(n)[int(x.head[0])]
+    count = data.draw(st.integers(1, block), label="count")
+    # a prefix of a few letters forces the sweep to extend the word and retry
+    letters = data.draw(st.integers(1, 8) | st.integers(1, 4 * block + 40), label="letters")
+    breaks, word = _sweep_breaks(s, x, n, power_prefix(s, x, n, letters)[:letters], count)
+    assert word == power_prefix(s, x, n, len(word))[: len(word)]
+    assert breaks == [brute_delta(s, word, j) for j in range(count)]
+
+
+@pytest.mark.parametrize("k, n", [(2, 8), (3, 3), (3, 9), (4, 6)])
+def test_break_sweep_makes_one_failing_query_per_later_start(k, n, monkeypatch):
+    # after the bisection at j = 0, each start costs one failing query plus
+    # one per letter its break end advances past the previous one
+    s = kbonacci(k)
+    queries = []
+    original = recognition.in_language
+
+    def counted(s, u):
+        queries.append(u)
+        return original(s, u)
+
+    monkeypatch.setattr(recognition, "in_language", counted)
+    for x in sample_configurations(s, 3, seed=2):
+        lengths = s.power_lengths(n)
+        block = lengths[int(x.head[0])]
+        word = power_prefix(s, x, n, 2 * (sum(lengths[int(c)] for c in x.head) + s.ladder_length(n)))
+        queries.clear()
+        brute_delta(s, word, 0)
+        bisection = len(queries)
+        queries.clear()
+        breaks, swept = _sweep_breaks(s, x, n, word, block)
+        assert swept is word
+        ends = [j + d for j, d in enumerate(breaks)]
+        assert len(queries) == bisection + (block - 1) + ends[-1] - ends[0]
