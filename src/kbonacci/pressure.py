@@ -252,7 +252,8 @@ def bispecial_ladder(s: Substitution, max_length: int) -> tuple[str, ...]:
 
 
 def brute_bispecials(s: Substitution, max_length: int) -> set[str]:
-    """Every bispecial language word of length <= max_length, by enumeration."""
+    """Every bispecial language word of length <= max_length, classified
+    through the language index, independently of the ladder."""
     index = s.language(max_length + 1)
     found: set[str] = set()
     for n in range(1, max_length + 1):

@@ -7,13 +7,15 @@ at least n long.  :func:`in_language` searches those words, and
 :class:`LanguageIndex` stores their per-length factor sets up to a
 caller-chosen depth N, built top-down from the length-N layer; queries
 past N raise instead of recomputing, so the cost profile stays
-predictable.
+predictable.  The special words of every length < N are read off the
+same layer in one pass: off its sorted order (right specials) and the
+sorted order of its reversals (left specials).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BudgetExceededError, OutOfIndexError
 from .substitution import Substitution
@@ -42,14 +44,42 @@ class LanguageIndex:
 
     def special_words(self, n: int) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
         """(left-specials, right-specials, bispecials) among length-n factors."""
-        if n + 1 > self.depth:
+        if n < 0 or n + 1 > self.depth:
             raise OutOfIndexError(f"classifying length {n} needs depth {n + 1}, have {self.depth}")
-        # A length-n word has as many left (right) extensions as there are
-        # length-(n+1) words u with u[1:] (u[:-1]) equal to it.
-        longer = self.words(n + 1)
-        left = frozenset(w for w, c in Counter(u[1:] for u in longer).items() if c >= 2)
-        right = frozenset(w for w, c in Counter(u[:-1] for u in longer).items() if c >= 2)
-        return left, right, left & right
+        return self._specials[n]
+
+    @cached_property
+    def _specials(self) -> tuple[tuple[frozenset[str], frozenset[str], frozenset[str]], ...]:
+        """The special words of every length < depth, read off the top layer T.
+
+        Every word of length n < depth is both a prefix and a suffix of a
+        word of T (the language is right- and left-extendable).  So w is
+        right special exactly when two neighbours in sorted(T) have longest
+        common prefix w, and left special when two neighbours in the sorted
+        reversals of T have longest common prefix w reversed.
+        """
+        top = self.words(self.depth)
+        right = _branching_prefixes(sorted(top), self.depth)
+        reversed_left = _branching_prefixes(sorted(u[::-1] for u in top), self.depth)
+        left = [frozenset(w[::-1] for w in words) for words in reversed_left]
+        return tuple((lw, rw, lw & rw) for lw, rw in zip(left, right))
+
+
+def _branching_prefixes(ordered: list[str], depth: int) -> list[frozenset[str]]:
+    """Per length n < depth, the longest common prefixes of length n of
+    neighbours in ordered, a sorted list of distinct depth-long words."""
+    found: list[set[str]] = [set() for _ in range(depth)]
+    for a, b in zip(ordered, ordered[1:]):
+        # bisection for the longest common prefix; a != b, so it is < depth
+        lo, hi = 0, depth - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if a[:mid] == b[:mid]:
+                lo = mid
+            else:
+                hi = mid - 1
+        found[lo].add(a[:lo])
+    return [frozenset(f) for f in found]
 
 
 def build_language(s: Substitution, depth: int) -> LanguageIndex:
@@ -59,6 +89,9 @@ def build_language(s: Substitution, depth: int) -> LanguageIndex:
     each shorter layer is the set of prefixes u[:-1] of the layer above.
     That is exact because the language of a primitive substitution is
     right-extendable: every word is a prefix of a word one letter longer.
+    It is left-extendable too (every word occurs at some position > 0 of
+    a long enough s^m(a)), so every word is also a suffix of a length-depth
+    word; :meth:`LanguageIndex.special_words` relies on both.
     Raises BudgetExceededError before the index holds more than
     ``s.length_budget`` letters.
     """

@@ -81,6 +81,30 @@ def test_index_depth_guard(s3):
     index = build_language(s3, 5)
     with pytest.raises(OutOfIndexError):
         index.words(6)
+    for n in (-1, -6, 5):
+        with pytest.raises(OutOfIndexError):
+            index.special_words(n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_specials_are_the_fixed_point_prefixes_and_their_reversals(k):
+    # Arnoux-Rauzy: one left special per length, the prefix of the fixed
+    # point, and one right special, its reversal; each extends by all k
+    # letters.  Read off the fixed point, not off any classifier.
+    s = kbonacci(k)
+    depth = 120
+    index = s.language(depth + 1)
+    omega = s.fixed_prefix(depth)
+    letters = [str(a) for a in range(k)]
+    for n in range(1, depth + 1):
+        prefix = omega[:n]
+        left, right, bi = index.special_words(n)
+        assert left == {prefix}
+        assert right == {prefix[::-1]}
+        assert bi == (left if prefix == prefix[::-1] else set())
+        longer = index.words(n + 1)
+        assert all(a + prefix in longer for a in letters)
+        assert all(prefix[::-1] + a in longer for a in letters)
 
 
 @settings(max_examples=200)
