@@ -33,6 +33,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# --beta-grid points; a grid this size already prints a million CSV rows
+MAX_BETA_GRID_POINTS = 10**6
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -114,6 +117,8 @@ def _parse_beta_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError("beta grid ends must be positive and finite")
     if points < 1:
         raise argparse.ArgumentTypeError("beta grid needs at least 1 point")
+    if points > MAX_BETA_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"beta grid takes at most {MAX_BETA_GRID_POINTS} points, got {points}")
     return np.geomspace(*ends, points)
 
 

@@ -4,11 +4,13 @@ and the bispecial machinery behind it.
 The pressure P(beta) = sup over invariant measures of h - beta * integral(V)
 is bracketed at depth n by summing exp(-beta S) over all k^n windows,
 with S the Birkhoff sum of V bounded from each side using the break
-position of every suffix.  Windows that stay inside the language keep
-the bracket open (the break may sit arbitrarily far to the right), which
-puts a hard floor of log(#L_n)/n under the upper estimate at finite
-depth; the floor is reported so plateau statistics can be read net of
-it.
+position of every suffix.  The window sums equal the per-suffix scalar
+sums bit for bit; the log-sum then runs once per distinct sum, weighted
+by its multiplicity, over the whole beta grid at once.  Windows that
+stay inside the language keep the bracket open (the break may sit
+arbitrarily far to the right), which puts a hard floor of log(#L_n)/n
+under the upper estimate at finite depth; the floor is reported so
+plateau statistics can be read net of it.
 """
 
 from __future__ import annotations
@@ -93,9 +95,26 @@ def _lex_index(u: str, k: int) -> int:
     return code
 
 
-def _log_mean_exp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    return m + math.log(float(np.exp(values - m).sum()))
+def _log_partition(S: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """log sum_w exp(-beta S_w) for every beta in the grid.
+
+    The sum runs once per distinct value u of S, weighted by its count
+    c_u, as m + log sum_u c_u exp(-beta u - m) with m the largest
+    exponent.  The grid is taken in blocks of S.size // U rows, U the
+    number of distinct values, so no block holds more entries than S.
+    """
+    values, counts = np.unique(S, return_counts=True)
+    betas = np.asarray(betas, dtype=float)
+    out = np.empty(betas.size)
+    rows = max(1, S.size // values.size)
+    for i in range(0, betas.size, rows):
+        block = np.multiply.outer(-betas[i : i + rows], values)
+        m = block.max(axis=1)
+        block -= m[:, None]
+        np.exp(block, out=block)
+        block *= counts
+        out[i : i + rows] = m + np.log(block.sum(axis=1))
+    return out
 
 
 def pressure_bounds(s: Substitution, V: Potential, beta: float, n: int) -> tuple[float, float]:
@@ -106,13 +125,10 @@ def pressure_bounds(s: Substitution, V: Potential, beta: float, n: int) -> tuple
     high = (1/n) log sum exp(-beta S_low).
     """
     s_lo, s_hi = birkhoff_bounds(s, V, n)
-    return _bounds_from_sums(s_lo, s_hi, beta, n)
-
-
-def _bounds_from_sums(s_lo: np.ndarray, s_hi: np.ndarray, beta: float, n: int) -> tuple[float, float]:
-    low = _log_mean_exp(-beta * s_hi) / n
-    high = _log_mean_exp(-beta * s_lo) / n
-    return max(low, 0.0), high
+    grid = np.array([beta], dtype=float)
+    low = _log_partition(s_hi, grid)[0] / n
+    high = _log_partition(s_lo, grid)[0] / n
+    return max(float(low), 0.0), float(high)
 
 
 # -- pressure curves and the transition point ---------------------------------
@@ -172,18 +188,15 @@ def pressure_curve(
         betas = default_beta_grid()
     s_lo, s_hi = birkhoff_bounds(s, V, n)
     floor = math.log(len(s.language(n).words(n))) / n
-    lows, highs = [], []
-    for beta in betas:
-        lo, hi = _bounds_from_sums(s_lo, s_hi, float(beta), n)
-        lows.append(lo)
-        highs.append(hi)
+    lows = np.maximum(_log_partition(s_hi, betas) / n, 0.0)
+    highs = _log_partition(s_lo, betas) / n
     return PressureCurve(
         k=s.k,
         alpha=V.alpha,
         depth=n,
         betas=tuple(float(b) for b in betas),
-        lows=tuple(lows),
-        highs=tuple(highs),
+        lows=tuple(lows.tolist()),
+        highs=tuple(highs.tolist()),
         floor=floor,
     )
 

@@ -277,11 +277,16 @@ def test_empty_beta_grid_is_a_usage_error(capsys):
     assert_usage_error(capsys, exc.value.code)
 
 
-@pytest.mark.parametrize("grid", ["-1:3:3", "0:3:3", "1:nan:3", "nan:3:3", "1:inf:3"])
+@pytest.mark.parametrize("grid", ["-1:3:3", "0:3:3", "1:nan:3", "nan:3:3", "1:inf:3",
+                                  f"0.01:64:{cli.MAX_BETA_GRID_POINTS + 1}", "0.01:64:1000000000000"])
 def test_non_positive_or_non_finite_beta_grid_is_a_usage_error(grid, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pressure", "--k", "2", "--depth", "4", f"--beta-grid={grid}"])
     assert_usage_error(capsys, exc.value.code)
+
+
+def test_beta_grid_at_the_point_cap_parses():
+    assert cli._parse_beta_grid(f"0.01:64:{cli.MAX_BETA_GRID_POINTS}").size == cli.MAX_BETA_GRID_POINTS
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -385,7 +390,8 @@ COMMAND_OPTIONS = {
                "mode": st.sampled_from(["closed-form", "brute-force", "study", "nope"]),
                "config": st.sampled_from(sorted(CONFIG_FILES))},
     "pressure": {"alpha": ALPHAS, "depth": counts("40"),
-                 "beta-grid": st.sampled_from(["0.01:64:8", "0.01:64:0", "-1:3:3", "1:nan:3", "a:b", "1:2:3:4", "2:0.5:3"]),
+                 "beta-grid": st.sampled_from(["0.01:64:8", "0.01:64:0", "-1:3:3", "1:nan:3", "a:b", "1:2:3:4", "2:0.5:3",
+                                               "0.01:64:1000000000000"]),
                  "tol": st.sampled_from(["1e-3", "0", "-1", "nan", "inf", "x"]),
                  "statistic": st.sampled_from(["raw", "excess", "x"])},
     "verify": {"suites": st.sampled_from(["spectral", "language", "recognizability", "appendix", "spectral,appendix",

@@ -123,6 +123,44 @@ def test_birkhoff_bounds_one_letter():
         assert np.array_equal(s_lo, o_lo) and np.array_equal(s_hi, o_hi)
 
 
+def log_sum_exp(values):
+    m = float(np.max(values))
+    return m + math.log(float(np.exp(values - m).sum()))
+
+
+def brackets_per_window(s_lo, s_hi, betas, n):
+    """Oracle for the pressure bracket: for each beta on its own, a
+    log-sum-exp over every window sum, repeated values included."""
+    lows = [max(log_sum_exp(-beta * s_hi) / n, 0.0) for beta in betas]
+    highs = [log_sum_exp(-beta * s_lo) / n for beta in betas]
+    return lows, highs
+
+
+# (substitution, largest depth) with k <= 3 and n <= 10
+PARTITION_CASES = [
+    (kbonacci(2), 10),
+    (kbonacci(3), 10),
+    (Substitution(("01", "10")), 10),
+    (Substitution(("1", "01")), 10),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pressure_curve_equals_per_window_oracle(data):
+    s, n_max = data.draw(st.sampled_from(PARTITION_CASES))
+    alpha = data.draw(st.floats(min_value=0.25, max_value=4.0, exclude_min=True, exclude_max=True))
+    V = data.draw(st.one_of(st.just(Potential.v0(alpha)), order_two_potential(s, alpha)))
+    n = data.draw(st.integers(min_value=V.order, max_value=n_max))
+    betas = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=80)))
+    curve = pressure_curve(s, V, n, betas)
+    lows, highs = brackets_per_window(*birkhoff_bounds(s, V, n), betas, n)
+    assert np.allclose(curve.lows, lows, rtol=0.0, atol=1e-12)
+    assert np.allclose(curve.highs, highs, rtol=0.0, atol=1e-12)
+    i = data.draw(st.integers(min_value=0, max_value=betas.size - 1))
+    assert pressure_bounds(s, V, betas[i], n) == (curve.lows[i], curve.highs[i])
+
+
 def test_budget_guard(s3):
     with pytest.raises(BudgetExceededError):
         birkhoff_bounds(s3, V0, 20)
