@@ -53,11 +53,7 @@ from .renorm import (
     eval_potential,
     fixed_point_U,
     renorm_after_power,
-    renorm_apply,
-    renorm_once,
     renorm_power,
-    shift_config,
-    substitute_config,
     tribonacci_fixed_point_cases,
     verify_fixed_point,
 )

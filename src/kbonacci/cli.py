@@ -68,7 +68,9 @@ def _config_line(args: argparse.Namespace, s: Substitution) -> str:
         if key in ("func", "out") or value is None:
             continue
         if isinstance(value, np.ndarray):
-            value = f"{value[0]:g}:{value[-1]:g}:{len(value)}"
+            # each end in its shortest round-trip form, so the line parses back
+            lo, hi = (repr(float(end)).removesuffix(".0") for end in (value[0], value[-1]))
+            value = f"{lo}:{hi}:{len(value)}"
         pairs.append(f"{key}={value}")
     return " ".join(pairs)
 

@@ -63,18 +63,6 @@ class Configuration:
         reps = -(-(length - len(self.head)) // len(tail))
         return (self.head + tail * reps)[:length]
 
-    def with_head_length(self, s: Substitution, length: int) -> "Configuration":
-        """Same point, head materialized out to at least `length` letters."""
-        if self.tail_kind == "orbit" or len(self.head) >= length:
-            return self
-        taken = length - len(self.head)
-        tail = str(self.tail_data)
-        if self.tail_kind == "periodic":
-            # keep the remaining tail aligned with the consumed letters
-            shift = taken % len(tail)
-            tail = tail[shift:] + tail[:shift]
-        return Configuration(self.prefix(s, length), self.tail_kind, tail)
-
     def to_text(self) -> str:
         if self.tail_kind == "orbit":
             return f"head= tail=orbit:{self.tail_data}"

@@ -1,11 +1,13 @@
 """The renormalization operator, its powers, and the explicit fixed point.
 
 (RV)(x) sums V over the |s(x_0)| shifts of s(x).  Powers are available
-either by brute force (materialize s^n(x) and sweep its breaks with the
-language oracle, one bisection and then one failing query per shift) or
-in closed form (break positions from the shifted
-delta formula, valid for n >= k, read off the longest language prefix
-of x), and the two paths cross-check each other in the tests.
+either by brute force, renorm_power(..., "brute-force"): materialize
+s^n(x) and sweep its breaks with the language oracle, one bisection and
+then one failing query per shift; or in closed form: break positions
+from the shifted delta formula, valid for n >= k, read off the longest
+language prefix of x.  The two paths cross-check each other in the
+tests, and verify_fixed_point checks RU = U by summing U over the same
+break sweep at n = 1.
 """
 
 from __future__ import annotations
@@ -37,38 +39,6 @@ from .words import in_language
 MODES = ("closed-form", "brute-force")
 
 
-# -- configuration transforms -----------------------------------------------
-
-
-def substitute_config(s: Substitution, x: Configuration) -> Configuration:
-    """The configuration s(x), with enough head materialized to stay certified."""
-    if x.in_subshift:
-        off = int(x.tail_data)
-        omega = s.fixed_prefix(off)
-        new_off = sum(len(s.images[int(c)]) for c in omega)
-        return Configuration("", "orbit", new_off)
-    ext = x.with_head_length(s, len(x.head) + 4)
-    head = s.apply(ext.head)
-    if ext.tail_kind == "const":
-        img = s.images[int(str(ext.tail_data))]
-        if len(img) == 1:
-            return Configuration(head, "const", img)
-        return Configuration(head, "periodic", img)
-    return Configuration(head, "periodic", s.apply(str(ext.tail_data)))
-
-
-def shift_config(s: Substitution, x: Configuration, j: int) -> Configuration:
-    """The configuration sigma^j(x)."""
-    if j < 0:
-        raise ValueError("shift must be nonnegative")
-    if x.in_subshift:
-        return Configuration("", "orbit", int(x.tail_data) + j)
-    if j == 0:
-        return x
-    ext = x.with_head_length(s, j + max(len(x.head) - j, 2))
-    return Configuration(ext.head[j:], ext.tail_kind, ext.tail_data)
-
-
 # -- potential evaluation ----------------------------------------------------
 
 
@@ -81,18 +51,6 @@ def _potential_at_break(V: Potential, x: Configuration, p: int) -> float:
     if len(x.head) < V.order:
         raise ValueError(f"head of length {len(x.head)} shorter than potential order {V.order}")
     return V.numerator(x.head[: V.order]) / float(p) ** V.alpha
-
-
-def renorm_apply(s: Substitution, f: Callable[[Configuration], float], x: Configuration) -> float:
-    """One application of the renormalization operator to any evaluator f."""
-    x0 = int(x.prefix(s, 1))
-    y = substitute_config(s, x)
-    return math.fsum(f(shift_config(s, y, j)) for j in range(len(s.images[x0])))
-
-
-def renorm_once(s: Substitution, V: Potential, x: Configuration) -> float:
-    """(RV)(x) for a potential in the (g + h)/delta^alpha family."""
-    return renorm_apply(s, lambda z: eval_potential(s, V, z), x)
 
 
 # -- powers of the operator --------------------------------------------------
@@ -115,7 +73,9 @@ def renorm_power(
         return 0.0
     if mode == "closed-form":
         return renorm_after_power(s, V, maximal_prefix(s, x), n)
-    return _renorm_power_brute(s, V, x, n)
+    return _renorm_power_brute(
+        s, x, n, lambda word, j, dj: V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha, V.order
+    )
 
 
 def renorm_after_power(s: Substitution, V: Potential, w: str, n: int) -> float:
@@ -194,7 +154,13 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
         return float(total)
 
 
-def _renorm_power_brute(s: Substitution, V: Potential, x: Configuration, n: int) -> float:
+def _renorm_power_brute(
+    s: Substitution, x: Configuration, n: int, term: Callable[[str, int, int], float], reach: int = 0
+) -> float:
+    """Sum of term(word, j, delta_j) over the shifts j < |s^n(x_0)|, where
+    delta_j = delta(sigma^j s^n(x)) and word is a prefix of s^n(x) that
+    holds every break and at least `reach` letters past each j.  x must
+    lie off the subshift."""
     # the head contains its break iff the head is not in the language: one query
     if in_language(s, x.head):
         raise UncertifiedConfigurationError(
@@ -202,9 +168,9 @@ def _renorm_power_brute(s: Substitution, V: Potential, x: Configuration, n: int)
         )
     lengths = s.power_lengths(n)
     block = lengths[int(x.prefix(s, 1))]
-    length = sum(lengths[int(c)] for c in x.head) + s.ladder_length(n - 1) + V.order + 2
+    length = sum(lengths[int(c)] for c in x.head) + s.ladder_length(n - 1) + reach + 2
     breaks, word = _sweep_breaks(s, x, n, power_prefix(s, x, n, length), block)
-    return math.fsum(V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha for j, dj in enumerate(breaks))
+    return math.fsum(term(word, j, dj) for j, dj in enumerate(breaks))
 
 
 def _sweep_breaks(s: Substitution, x: Configuration, n: int, word: str, count: int) -> tuple[list[int], str]:
@@ -285,10 +251,15 @@ def tribonacci_fixed_point_cases(s: Substitution, x: Configuration) -> float:
 
 
 def verify_fixed_point(s: Substitution, samples: Sequence[Configuration]) -> float:
-    """Max over the samples of |(RU)(x) - U(x)|."""
+    """Max over the samples of |(RU)(x) - U(x)|, with RU summed over the
+    break sweep of s(x): U(sigma^j s(x)) is read off its longest language
+    prefix word[j : j + delta_j].  Both sides vanish on the subshift."""
+    require_kbonacci(s)
     worst = 0.0
     for x in samples:
-        left = renorm_apply(s, lambda z: fixed_point_U(s, z), x)
+        if x.in_subshift:
+            continue
+        left = _renorm_power_brute(s, x, 1, lambda word, j, dj: _fixed_point_from(s, word[j : j + dj]))
         worst = max(worst, abs(left - fixed_point_U(s, x)))
     return worst
 

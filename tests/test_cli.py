@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -328,6 +329,19 @@ def test_options_line_records_the_loaded_substitutions_k(tmp_path, capsys):
     assert code == 0
     options, _, first_row = out.splitlines()[:3]
     assert " k=1 " in options and first_row.startswith("1,")
+
+
+@pytest.mark.parametrize("grid", [None, "1.0000001:2.123456789:3", "1e-300:1e300:2"])
+def test_options_line_beta_grid_parses_back_to_the_same_grid(grid, capsys):
+    # the default grid must still read 0.01:64:64
+    argv = ["pressure", "--k", "2", "--depth", "4"] + ([] if grid is None else ["--beta-grid", grid])
+    code, out = run(capsys, *argv)
+    assert code == 0
+    fields = dict(item.split("=", 1) for item in out.splitlines()[0][2:].split())
+    expected = cli.default_beta_grid() if grid is None else cli._parse_beta_grid(grid)
+    assert np.array_equal(cli._parse_beta_grid(fields["beta_grid"]), expected)
+    if grid is None:
+        assert fields["beta_grid"] == "0.01:64:64"
 
 
 @pytest.mark.parametrize("argv", [["delta", "--k", "2", "--n-max", "1", "--samples", "1"],

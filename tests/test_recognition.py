@@ -40,12 +40,6 @@ def test_configuration_prefix(s3):
     assert Configuration("", "orbit", 2).prefix(s3, 5) == "02010"
 
 
-def test_head_extension_keeps_the_point(s3):
-    x = Configuration("01", "periodic", "120")
-    y = x.with_head_length(s3, 7)
-    assert y.prefix(s3, 30) == x.prefix(s3, 30)
-
-
 def test_delta_basic(s3):
     assert delta(s3, ZEROS) == 2
     assert delta(s3, ONES) == 1

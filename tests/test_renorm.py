@@ -19,11 +19,7 @@ from kbonacci import (
     maximal_prefix,
     power_prefix,
     renorm_after_power,
-    renorm_apply,
-    renorm_once,
     renorm_power,
-    shift_config,
-    substitute_config,
     tribonacci_fixed_point_cases,
     verify_fixed_point,
 )
@@ -66,20 +62,8 @@ def test_eval_potential(s3):
     assert eval_potential(s3, V0, Configuration("", "orbit", 0)) == 0.0
 
 
-def test_substitute_config_commutes_with_prefix(s3):
-    for x in (ZEROS, Configuration("0120", "periodic", "21"), Configuration("", "orbit", 3)):
-        y = substitute_config(s3, x)
-        assert y.prefix(s3, 40) == s3.apply(x.prefix(s3, 40))[:40]
-
-
-def test_shift_config(s3):
-    x = Configuration("0120", "periodic", "21")
-    for j in range(6):
-        assert shift_config(s3, x, j).prefix(s3, 20) == x.prefix(s3, 20 + j)[j:]
-
-
-def test_renorm_once_value(s3):
-    assert renorm_once(s3, V0, ZEROS) == pytest.approx(0.45, abs=1e-15)
+def test_brute_force_first_power_value(s3):
+    assert renorm_power(s3, V0, ZEROS, 1, "brute-force") == pytest.approx(0.45, abs=1e-15)
 
 
 def test_fixed_point_value(s3):
@@ -87,9 +71,16 @@ def test_fixed_point_value(s3):
     assert tribonacci_fixed_point_cases(s3, ZEROS) == pytest.approx(fixed_point_U(s3, ZEROS), abs=1e-15)
 
 
+def _with_periodic_tails(s, configs):
+    # the same certified heads, each followed by a periodic tail
+    periods = ("01", "10", "1" + str(s.k - 1) + "0", "0" * s.k + "1")
+    return [Configuration(x.head, "periodic", periods[i % len(periods)]) for i, x in enumerate(configs)]
+
+
 def test_fixed_point_identity(s3, s2, s4):
     for s in (s2, s3, s4):
         samples = sample_configurations(s, 10, seed=5)
+        samples += _with_periodic_tails(s, samples) + [Configuration("", "orbit", 3)]
         assert verify_fixed_point(s, samples) < 1e-12
 
 
@@ -99,7 +90,8 @@ def test_fixed_point_vanishes_on_subshift(s3):
 
 def test_closed_form_matches_brute_force(s3, s2):
     for s in (s2, s3):
-        for x in sample_configurations(s, 4, seed=9):
+        samples = sample_configurations(s, 4, seed=9)
+        for x in samples + _with_periodic_tails(s, samples):
             for n in range(s.k, s.k + 3):
                 c = renorm_power(s, V0, x, n, mode="closed-form")
                 b = renorm_power(s, V0, x, n, mode="brute-force")
@@ -184,15 +176,6 @@ def test_nonconstant_numerator_limit(s3):
     mean_g = 1.0 + letter_frequencies(s3)[0]
     value = renorm_power(s3, V, ZEROS, 22)
     assert value == pytest.approx(mean_g * fixed_point_U(s3, ZEROS), abs=2e-3)
-
-
-def test_renorm_apply_linear(s3):
-    f = lambda z: fixed_point_U(s3, z)
-    g = lambda z: eval_potential(s3, V0, z)
-    combined = renorm_apply(s3, lambda z: f(z) + 2.0 * g(z), ZEROS)
-    assert combined == pytest.approx(
-        renorm_apply(s3, f, ZEROS) + 2.0 * renorm_apply(s3, g, ZEROS), abs=1e-12
-    )
 
 
 # -- the inverse-power sum of the V0 closed form ------------------------------
