@@ -26,7 +26,6 @@ from .pressure import (
     find_beta_c,
     overlap_length,
     overlap_ratios,
-    pressure_bounds,
     pressure_curve,
     recurrence_gaps,
     verify_ladder,

@@ -159,13 +159,12 @@ def cmd_recog(args, s: Substitution, w: CsvWriter) -> int:
     w.row("n", "window", "cut_count", "recognizable")
     for n in _levels(args, s):
         cuts = cut_points(s, n, args.window)
-        ok = verify_recognizability(s, n, args.window, cuts)
+        ok = verify_recognizability(s, cuts)
         w.row(n, args.window, len(cuts.points), int(ok))
     return EXIT_OK
 
 
 def cmd_spectral(args, s: Substitution, w: CsvWriter) -> int:
-    require_kbonacci(s)
     growth = growth_decomposition(s)
     lam = growth.lam
     w.row("quantity", "index", "value")

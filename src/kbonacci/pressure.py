@@ -117,20 +117,6 @@ def _log_partition(S: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return out
 
 
-def pressure_bounds(s: Substitution, V: Potential, beta: float, n: int) -> tuple[float, float]:
-    """(low, high) estimates of P(beta) at cylinder depth n.
-
-    low = (1/n) log sum exp(-beta S_high), clamped at 0 (the invariant
-    measure of the subshift has h = 0 and integral(V) = 0, so P >= 0);
-    high = (1/n) log sum exp(-beta S_low).
-    """
-    s_lo, s_hi = birkhoff_bounds(s, V, n)
-    grid = np.array([beta], dtype=float)
-    low = _log_partition(s_hi, grid)[0] / n
-    high = _log_partition(s_lo, grid)[0] / n
-    return max(float(low), 0.0), float(high)
-
-
 # -- pressure curves and the transition point ---------------------------------
 
 
@@ -184,6 +170,10 @@ def pressure_curve(
     n: int,
     betas: np.ndarray | None = None,
 ) -> PressureCurve:
+    """(low, high) estimates of P(beta) at cylinder depth n on a beta grid:
+    low = (1/n) log sum exp(-beta S_high), clamped at 0 (the subshift's
+    measure has h = 0 and integral(V) = 0), high = (1/n) log sum
+    exp(-beta S_low).  The bracket at one beta is a one-point grid."""
     if betas is None:
         betas = default_beta_grid()
     s_lo, s_hi = birkhoff_bounds(s, V, n)
@@ -219,11 +209,12 @@ class BetaCReport:
     bracket: tuple[float, float] | None
 
     def plateau_excess(self, beta: float) -> float:
-        """Upper-estimate excess over the floor at the largest grid point <= beta."""
-        values = self.curve.excess()
+        """Upper-estimate excess over the floor at the largest grid point <= beta;
+        ValueError below the grid."""
         picks = [i for i, b in enumerate(self.curve.betas) if b <= beta]
-        i = picks[-1] if picks else len(values) - 1
-        return float(values[i])
+        if not picks:
+            raise ValueError(f"beta {beta} lies below the grid, which starts at {min(self.curve.betas)}")
+        return float(self.curve.excess()[picks[-1]])
 
 
 def find_beta_c(

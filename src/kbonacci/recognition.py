@@ -6,7 +6,6 @@ fixed point, and recognizability scans.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,10 +197,6 @@ class CutPointSet:
     window: int
     points: tuple[int, ...]
 
-    def __contains__(self, d: int) -> bool:
-        i = bisect_left(self.points, d)
-        return i < len(self.points) and self.points[i] == d
-
 
 def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
     """Positions where n-th power image blocks of the fixed point start:
@@ -221,19 +216,15 @@ def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
     return CutPointSet(n, window, (0, *ends[: np.searchsorted(ends, window)].tolist()))
 
 
-def verify_recognizability(s: Substitution, n: int, window: int, cuts: CutPointSet | None = None) -> bool:
+def verify_recognizability(s: Substitution, cuts: CutPointSet) -> bool:
     """Occurrences of s^n(0) in the fixed-point window are exactly the cut
-    points of the n-th blocks (recognizability, valid for n >= k).  A
-    caller that already holds ``cut_points(s, n, window)`` passes it as
-    `cuts`."""
+    points of the n-th blocks, for the level n and window W of
+    ``cuts = cut_points(s, n, W)`` (recognizability, valid for n >= k)."""
     require_kbonacci(s)
+    n, window = cuts.n, cuts.window
     if n < s.k:
         raise ValueError(f"recognizability scan requires n >= k = {s.k}")
     block = s.power_image(n, 0)
-    if cuts is None:
-        cuts = cut_points(s, n, window)
-    elif (cuts.n, cuts.window) != (n, window):
-        raise ValueError(f"cut points of n={cuts.n}, window={cuts.window} passed for n={n}, window={window}")
     usable = [d for d in cuts.points if d + len(block) <= window]
     if len(usable) < 2:
         raise InconclusiveWindowError(

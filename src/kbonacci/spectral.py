@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .substitution import Substitution, is_kbonacci, occurrences
+from .substitution import Substitution, occurrences, require_kbonacci
 
 ROOT_TOL = 1e-14
 
@@ -87,8 +87,9 @@ class GrowthDecomposition:
 
 def growth_decomposition(s: Substitution, n_max: int = 60) -> GrowthDecomposition:
     """Estimate gamma_l from exact matrix-power lengths at n_max and fit the
-    remainder decay rate; no words are materialized."""
-    lam = perron_root(s.k) if is_kbonacci(s) else _dominant_eigenvalue(s)
+    remainder decay rate; no words are materialized.  k-bonacci only."""
+    require_kbonacci(s)
+    lam = perron_root(s.k)
     lengths = [s.power_lengths(n) for n in range(n_max + 1)]
     gamma = np.array([lengths[n_max][l] / lam**n_max for l in range(s.k)])
     remainders = np.array(
@@ -106,11 +107,6 @@ def growth_decomposition(s: Substitution, n_max: int = 60) -> GrowthDecompositio
         slope = np.polyfit(ns, logs, 1)[0]
         theta_hat = math.exp(slope)
     return GrowthDecomposition(s.k, lam, gamma, tuple(lengths), remainders, theta_hat)
-
-
-def _dominant_eigenvalue(s: Substitution) -> float:
-    eigvals = np.linalg.eigvals(s.incidence().astype(float))
-    return float(np.max(np.abs(eigvals)))
 
 
 def letter_frequencies(s: Substitution) -> np.ndarray:

@@ -66,7 +66,7 @@ class Substitution:
         self._stream: FixedPointStream | None = None
         self._pairs: frozenset[str] | None = None
         self._two_blocks: dict[int, tuple[str, ...]] = {}  # block level m -> words
-        self._lang_cache = None  # (depth, LanguageIndex)
+        self._lang_cache = None  # LanguageIndex
 
     # -- basic morphism operations ------------------------------------
 

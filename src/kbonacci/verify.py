@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .potentials import Potential
-from .pressure import overlap_ratios, pressure_bounds, verify_ladder
+from .pressure import overlap_ratios, pressure_curve, verify_ladder
 from .recognition import (
     brute_delta,
     cut_points,
@@ -83,14 +83,11 @@ def suite_delta(s: Substitution) -> list[CheckResult]:
 
 def suite_recognizability(s: Substitution) -> list[CheckResult]:
     rows = []
-    window = 20_000
+    cuts = {n: cut_points(s, n, 20_000) for n in range(1, s.k + 4)}
     for n in range(s.k, s.k + 3):
-        ok = verify_recognizability(s, n, window)
+        ok = verify_recognizability(s, cuts[n])
         rows.append(_result("recognizability", f"n={n} occurrences = cut points", ok))
-    nested = all(
-        set(cut_points(s, n + 1, window).points) <= set(cut_points(s, n, window).points)
-        for n in range(1, s.k + 3)
-    )
+    nested = all(set(cuts[n + 1].points) <= set(cuts[n].points) for n in range(1, s.k + 3))
     rows.append(_result("recognizability", "cut points nested", nested))
     return rows
 
@@ -137,10 +134,10 @@ def suite_renorm(s: Substitution) -> list[CheckResult]:
 def suite_pressure(s: Substitution) -> list[CheckResult]:
     rows = []
     V0 = Potential.v0(1.0)
-    lo, hi = pressure_bounds(s, V0, 0.0, 10)
+    curve = pressure_curve(s, V0, 10, np.array([0.0, 5.0]))
+    (lo, lo5), (hi, hi5) = curve.lows, curve.highs
     exact = abs(lo - math.log(s.k)) < 1e-12 and abs(hi - math.log(s.k)) < 1e-12
     rows.append(_result("pressure", "exact at beta = 0", exact))
-    lo5, hi5 = pressure_bounds(s, V0, 5.0, 10)
     rows.append(_result("pressure", "bracket ordered and nonnegative", 0.0 <= lo5 <= hi5))
     lam = perron_root(s.k)
     err = abs(overlap_ratios(s, 35)[30] - 1.0 / lam)

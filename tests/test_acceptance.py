@@ -28,7 +28,6 @@ from kbonacci import (
     letter_frequencies,
     overlap_ratios,
     perron_root,
-    pressure_bounds,
     pressure_curve,
     renorm_power,
     tribonacci_appendix_checks,
@@ -126,7 +125,7 @@ def test_05_recognizability():
     for k in (2, 3, 4):
         s = kbonacci(k)
         for n in range(k, k + 4):
-            ok &= verify_recognizability(s, n, 100_000)
+            ok &= verify_recognizability(s, cut_points(s, n, 100_000))
         for n in range(1, k + 4):
             ok &= set(cut_points(s, n + 1, 100_000).points) <= set(cut_points(s, n, 100_000).points)
     elapsed = time.time() - t0
@@ -193,7 +192,8 @@ def test_10a_pressure_bracket_and_exactness():
     t0 = time.time()
     s = kbonacci(2)
     curve = pressure_curve(s, V0, 14)
-    lo0, hi0 = pressure_bounds(s, V0, 0.0, 14)
+    at_zero = pressure_curve(s, V0, 14, np.array([0.0]))
+    lo0, hi0 = at_zero.lows[0], at_zero.highs[0]
     ok = abs(lo0 - math.log(2)) < 1e-14 and abs(hi0 - math.log(2)) < 1e-14
     ok &= all(0.0 <= lo <= hi for lo, hi in zip(curve.lows, curve.highs))
     ok &= curve.is_convex and curve.is_monotone
@@ -207,15 +207,16 @@ def test_10a_pressure_bracket_and_exactness():
                    "is 0.211 (floor log(15)/14 = 0.193 plus slack); < 0.05 needs depths far "
                    "beyond the 10^7-window budget; see the repository notes")
 def test_10b_bracket_width_at_beta_5():
-    lo, hi = pressure_bounds(kbonacci(2), V0, 5.0, 14)
+    curve = pressure_curve(kbonacci(2), V0, 14, np.array([5.0]))
+    lo, hi = curve.lows[0], curve.highs[0]
     report(10, hi - lo < 0.05, f"width at beta=5, k=2, n=14 is {hi - lo:.3f}")
 
 
 def test_10c_width_shrinks_with_depth():
     widths = []
     for n in (8, 10, 12, 14):
-        lo, hi = pressure_bounds(kbonacci(2), V0, 5.0, n)
-        widths.append(hi - lo)
+        curve = pressure_curve(kbonacci(2), V0, n, np.array([5.0]))
+        widths.append(curve.highs[0] - curve.lows[0])
     ok = all(a > b for a, b in zip(widths, widths[1:]))
     report(10, ok, f"width at beta=5 over n=8,10,12,14: {[f'{w:.3f}' for w in widths]}")
 

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kbonacci.recognition
-from kbonacci import cli
+from kbonacci import Potential, cli, renorm_power
 from kbonacci.cli import main
+from kbonacci.renorm import MODES
+from kbonacci.sampling import sample_configurations
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -228,6 +230,29 @@ def test_renorm_study_output(capsys):
     code, out = run(capsys, "renorm", "--k", "3", "--samples", "1", "--n-max", "8")
     assert code == 0
     assert "fixed-point:converges" in out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_renorm_mode_rows_are_renorm_power(mode, capsys):
+    code, out = run(capsys, "renorm", "--mode", mode, "--k", "3", "--samples", "3", "--n-max", "4")
+    assert code == 0
+    s = kbonacci.kbonacci(3)
+    expected = [
+        ",".join(cli._fmt(c) for c in (3, 1.0, 4, i, renorm_power(s, Potential.v0(1.0), x, 4, mode), mode))
+        for i, x in enumerate(sample_configurations(s, 3, 0))
+    ]
+    assert out.splitlines()[2:] == expected
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_renorm_at_n_max_zero_prints_the_potential(mode, capsys):
+    code, out = run(capsys, "renorm", "--mode", mode, "--k", "3", "--samples", "2", "--n-max", "0")
+    assert code == 0
+    assert out.splitlines()[2:] == [f"3,1,0,0,0.111111111111,{mode}", f"3,1,0,1,0.333333333333,{mode}"]
+
+
+def test_closed_form_renorm_below_k_is_a_usage_error(capsys):
+    assert_usage_error(capsys, main(["renorm", "--mode", "closed-form", "--k", "3", "--n-max", "1"]))
 
 
 def test_recog_output(capsys):

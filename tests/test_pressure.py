@@ -19,7 +19,6 @@ from kbonacci import (
     overlap_length,
     overlap_ratios,
     perron_root,
-    pressure_bounds,
     pressure_curve,
     recurrence_gaps,
     verify_ladder,
@@ -32,14 +31,14 @@ V0 = Potential.v0(1.0)
 
 def test_exact_at_beta_zero(s2, s3):
     for s, n in ((s2, 10), (s3, 7)):
-        lo, hi = pressure_bounds(s, V0, 0.0, n)
-        assert lo == pytest.approx(math.log(s.k), abs=1e-14)
-        assert hi == pytest.approx(math.log(s.k), abs=1e-14)
+        curve = pressure_curve(s, V0, n, np.array([0.0]))
+        assert curve.lows[0] == pytest.approx(math.log(s.k), abs=1e-14)
+        assert curve.highs[0] == pytest.approx(math.log(s.k), abs=1e-14)
 
 
 def test_bracket_ordered_and_nonnegative(s2):
-    for beta in (0.5, 2.0, 8.0, 32.0):
-        lo, hi = pressure_bounds(s2, V0, beta, 10)
+    curve = pressure_curve(s2, V0, 10, np.array([0.5, 2.0, 8.0, 32.0]))
+    for lo, hi in zip(curve.lows, curve.highs):
         assert 0.0 <= lo <= hi
 
 
@@ -158,7 +157,8 @@ def test_pressure_curve_equals_per_window_oracle(data):
     assert np.allclose(curve.lows, lows, rtol=0.0, atol=1e-12)
     assert np.allclose(curve.highs, highs, rtol=0.0, atol=1e-12)
     i = data.draw(st.integers(min_value=0, max_value=betas.size - 1))
-    assert pressure_bounds(s, V, betas[i], n) == (curve.lows[i], curve.highs[i])
+    one = pressure_curve(s, V, n, betas[i : i + 1])
+    assert (one.lows[0], one.highs[0]) == (curve.lows[i], curve.highs[i])
 
 
 def test_budget_guard(s3):
@@ -194,6 +194,16 @@ def test_find_beta_c_crossing(s2):
     excess_report = find_beta_c(s2, V0, 10, tol=1e-3, statistic="excess")
     assert excess_report.crossed
     assert excess_report.plateau_excess(2 * excess_report.beta_c) <= 1e-3
+
+
+def test_plateau_excess_below_the_grid_is_an_error(s2):
+    report = find_beta_c(s2, V0, 10, tol=1e-3, statistic="excess")
+    assert report.curve.betas[0] == 0.01
+    assert report.plateau_excess(0.01) == pytest.approx(0.449, abs=1e-3)
+    # the excess at the last grid point (beta = 64) is about 1e-6, far below
+    # the excess at the first; a beta below the grid has no value to read
+    with pytest.raises(ValueError):
+        report.plateau_excess(0.001)
 
 
 def test_ladder_lengths(s3, s2):

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import (
     Configuration,
-    CutPointSet,
     Substitution,
     INFINITE,
     advance_break,
@@ -122,6 +121,24 @@ def test_shifted_break_equals_scan_on_random_configurations(k, seed, extra, wher
     assert base - j == brute_delta(s, word, j)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_power_prefix_past_its_first_probe(data):
+    s = kbonacci(data.draw(st.integers(min_value=2, max_value=4)))
+    letters = "".join(map(str, range(s.k)))
+    head = data.draw(st.text(alphabet=letters, min_size=65, max_size=300))
+    x = Configuration(head, "const", data.draw(st.sampled_from(letters)))
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    reference = s.apply_power(n, x.prefix(s, len(head) + 8))
+    # longer than the image of the first 64 letters, so the probe doubles
+    first_probe = sum(s.power_lengths(n)[int(c)] for c in x.prefix(s, 64))
+    length = data.draw(st.integers(min_value=first_probe + 1, max_value=len(reference)))
+    word = power_prefix(s, x, n, length)
+    assert len(word) >= length
+    common = min(len(word), len(reference))
+    assert word[:common] == reference[:common]
+
+
 def test_advance_break_from_the_start_is_the_scan(s2, s3):
     for s in (s2, s3):
         for x in sample_configurations(s, 3, seed=5):
@@ -141,7 +158,7 @@ def test_delta_after_power_guards(s3):
 
 def test_cut_points(s3):
     assert cut_points(s3, 1, 10).points == (0, 2, 4, 6, 7, 9)
-    assert 0 in cut_points(s3, 3, 100)
+    assert 0 in cut_points(s3, 3, 100).points
 
 
 def looped_cut_points(s, n, window):
@@ -184,17 +201,9 @@ def test_cut_points_match_letter_loop(images, n, window):
     assert all(type(d) is int for d in cuts.points)
 
 
-def test_cut_point_membership():
-    cuts = CutPointSet(1, 10, (0, 2, 4, 6, 7, 9))
-    assert [d for d in range(-2, 13) if d in cuts] == [0, 2, 4, 6, 7, 9]
-    assert 0 in CutPointSet(1, 0, (0,)) and 1 not in CutPointSet(1, 0, (0,))
-
-
 def test_recognizability_reuses_the_callers_cut_points(s3):
     cuts = cut_points(s3, 4, 5000)
-    assert verify_recognizability(s3, 4, 5000, cuts)
-    with pytest.raises(ValueError):
-        verify_recognizability(s3, 5, 5000, cuts)
+    assert verify_recognizability(s3, cuts)
 
 
 def test_cut_points_nested(s3):
@@ -207,7 +216,7 @@ def test_cut_points_nested(s3):
 def test_recognizability(k):
     s = kbonacci(k)
     for n in range(s.k, s.k + 3):
-        assert verify_recognizability(s, n, 20_000)
+        assert verify_recognizability(s, cut_points(s, n, 20_000))
 
 
 def test_appendix_checks():

@@ -25,7 +25,7 @@ from kbonacci import (
 )
 from kbonacci import recognition
 from kbonacci.errors import UncertifiedConfigurationError
-from kbonacci.renorm import _DIRECT_SPAN, _inverse_power_sum, _sweep_breaks
+from kbonacci.renorm import MODES, _DIRECT_SPAN, _inverse_power_sum, _sweep_breaks
 from kbonacci.sampling import sample_configurations
 
 ZEROS = Configuration("0000", "const", "0")
@@ -86,6 +86,25 @@ def test_fixed_point_identity(s3, s2, s4):
 
 def test_fixed_point_vanishes_on_subshift(s3):
     assert fixed_point_U(s3, Configuration("", "orbit", 7)) == 0.0
+
+
+def test_tribonacci_cases_match_fixed_point_U_on_every_first_letter(s3):
+    samples = sample_configurations(s3, 40, 0)
+    assert {x.head[0] for x in samples} == {"0", "1", "2"}
+    for x in samples:
+        assert tribonacci_fixed_point_cases(s3, x) == pytest.approx(fixed_point_U(s3, x), abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_powers_vanish_on_the_subshift(s3, mode):
+    orbit = Configuration("", "orbit", 4)
+    assert [renorm_power(s3, V0, orbit, n, mode) for n in range(5)] == [0.0] * 5
+
+
+def test_convergence_study_vanishes_on_the_subshift(s3):
+    study = convergence_study(s3, V0, Configuration("", "orbit", 4), n_max=6)
+    assert [value for _, value, _ in study.rows] == [0.0] * 7
+    assert study.fixed_point == 0
 
 
 def test_closed_form_matches_brute_force(s3, s2):
