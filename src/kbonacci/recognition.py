@@ -6,6 +6,7 @@ fixed point, and recognizability scans.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,12 +226,12 @@ def verify_recognizability(s: Substitution, cuts: CutPointSet) -> bool:
     if n < s.k:
         raise ValueError(f"recognizability scan requires n >= k = {s.k}")
     block = s.power_image(n, 0)
-    usable = [d for d in cuts.points if d + len(block) <= window]
+    usable = cuts.points[: bisect_right(cuts.points, window - len(block))]
     if len(usable) < 2:
         raise InconclusiveWindowError(
             f"window {window} holds fewer than two full n={n} blocks"
         )
-    return occurrences(s.fixed_prefix(window), block) == usable
+    return occurrences(s.fixed_prefix(window), block) == list(usable)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ class Substitution:
     cached letters is bounded by ``length_budget``; exceeding it raises
     :class:`BudgetExceededError` instead of silently eating memory
     (image lengths grow like lambda^n).  The instance also owns the table
-    of exact lengths |s^n(a)|, one growable buffer of the fixed point and
+    of exact lengths |s^n(a)|, one growable stream of the fixed point and
     the two-block words that describe the language.
     """
 
@@ -265,14 +265,34 @@ def is_primitive(matrix: np.ndarray) -> bool:
     return bool(power.all())
 
 
+def _packed_windows(data: bytes, width: int) -> np.ndarray:
+    """Every run of `width` consecutive bytes of data, read as one unsigned
+    integer: a stride-1 view, so window i starts at byte i."""
+    return np.ndarray((len(data) - width + 1,), dtype=f"u{width}", buffer=data, strides=(1,))
+
+
 def occurrences(text: str, word: str) -> list[int]:
-    """Start positions of every occurrence of word in text, overlaps included."""
-    found = []
-    pos = text.find(word)
-    while pos != -1:
-        found.append(pos)
-        pos = text.find(word, pos + 1)
-    return found
+    """Start positions of every occurrence of word in text, overlaps included.
+
+    Text and word are ASCII strings, as every word over a digit alphabet
+    is.  The word is read in windows of w letters, w the widest of 8, 4, 2
+    and 1 that fits in it: the starts where the text's window equals the
+    word's first one are found in one numpy comparison, then narrowed by
+    the word's windows at offsets w, 2w, ... and |word| - w, which cover
+    the rest of the word.
+    """
+    if not word:
+        return list(range(len(text) + 1))
+    data, key = text.encode("ascii"), word.encode("ascii")
+    if len(key) > len(data):
+        return []
+    width = next(w for w in (8, 4, 2, 1) if w <= len(key))
+    windows, parts = _packed_windows(data, width), _packed_windows(key, width)
+    starts = np.flatnonzero(windows[: len(data) - len(key) + 1] == parts[0])
+    for offset in range(width, len(key), width):
+        offset = min(offset, len(key) - width)
+        starts = starts[windows[starts + offset] == parts[offset]]
+    return starts.tolist()
 
 
 def kbonacci(k: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Substitution:
@@ -312,26 +332,45 @@ def check_recurrence(s: Substitution, n: int) -> bool:
 class FixedPointStream:
     """On-demand prefixes of the one-sided fixed point of a substitution.
 
-    The buffer only ever grows; extending it never changes existing
-    entries because s maps prefixes of the fixed point to prefixes.
+    The fixed point starts with s^n(seed) for every n, the seed being the
+    letter whose image starts with itself.  A request for `length` letters
+    builds s^n(seed), n the least level with |s^n(seed)| >= length, as
+    s^m(s^{n-m}(seed)) with m = n // 2: one str.translate of the short word
+    s^{n-m}(seed) through a table of the blocks s^m(a) of every letter a,
+    which joins whole blocks and reads no letter of the prefix.  The table
+    grows a level at a time the same way, s^{m+1}(a) being s(a) translated
+    through the level-m table, so the stream holds the prefix and blocks
+    of about its square root.  A prefix and blocks that would hold more
+    than ``length_budget`` letters, and more than four times the requested
+    length, raise BudgetExceededError instead.
     """
 
     def __init__(self, subst: Substitution):
         self.subst = subst
-        self._buffer = subst.images[subst.fixed_point_seed()]
+        self._seed = subst.fixed_point_seed()
+        self._n = 1  # the prefix is s^n(seed), the blocks s^{n // 2}(a)
+        self._prefix = subst.images[self._seed]
+        self._blocks = {ord(str(a)): str(a) for a in range(subst.k)}  # letter code -> block
 
     def prefix(self, length: int) -> str:
         if length < 0:
             raise ValueError("length must be nonnegative")
-        if length > self.subst.length_budget:
+        s, seed = self.subst, self._seed
+        if length > s.length_budget:
             raise BudgetExceededError(
                 f"requested fixed-point prefix of {length} letters exceeds budget"
             )
-        buf = self._buffer
-        while len(buf) < length:
-            buf = self.subst.apply(buf)
-            if len(buf) > 4 * max(length, 1) and len(buf) > self.subst.length_budget:
-                raise BudgetExceededError("fixed-point buffer exceeded budget")
-        self._buffer = buf
-        return buf[:length]
-
+        if len(self._prefix) < length:
+            n = self._n + 1
+            while s.power_lengths(n)[seed] < length:
+                n += 1
+            m = n // 2
+            held = s.power_lengths(n)[seed] + sum(s.power_lengths(m))
+            if held > 4 * length and held > s.length_budget:
+                raise BudgetExceededError(f"fixed-point prefix and blocks of {held} letters exceed budget")
+            blocks = self._blocks
+            for _ in range(self._n // 2, m):
+                blocks = {ord(str(a)): w.translate(blocks) for a, w in enumerate(s.images)}
+            head = (s.images[seed] if n % 2 else str(seed)).translate(blocks)  # s^{n-m}(seed)
+            self._n, self._prefix, self._blocks = n, head.translate(blocks), blocks
+        return self._prefix[:length]

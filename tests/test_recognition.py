@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import (
     Configuration,
+    CutPointSet,
     Substitution,
     INFINITE,
     advance_break,
@@ -217,6 +218,41 @@ def test_recognizability(k):
     s = kbonacci(k)
     for n in range(s.k, s.k + 3):
         assert verify_recognizability(s, cut_points(s, n, 20_000))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_recognizability_at_windows_ending_by_a_block(k):
+    # A block starting at cut point d fits exactly when the window is
+    # d + |s^n(0)|, and misses by one letter when it is one shorter.
+    s = kbonacci(k)
+    n = k
+    block = len(s.power_image(n, 0))
+    for d in cut_points(s, n, 2_000).points[-3:]:
+        for window in (d + block - 1, d + block):
+            assert verify_recognizability(s, cut_points(s, n, window))
+
+
+def _corrupted_cut_points(s, n, window):
+    """Cut-point sets that differ from cut_points(s, n, window) inside the
+    usable part of the window: the last usable point dropped, the middle
+    point shifted by one, and the level n+1 points labelled as level n."""
+    points = cut_points(s, n, window).points
+    last = max(i for i, d in enumerate(points) if d + len(s.power_image(n, 0)) <= window)
+    mid = len(points) // 2
+    return {
+        "dropped": points[:last] + points[last + 1 :],
+        "shifted": points[:mid] + (points[mid] + 1,) + points[mid + 1 :],
+        "next level": cut_points(s, n + 1, window).points,
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("corruption", ["dropped", "shifted", "next level"])
+def test_recognizability_rejects_wrong_cut_points(k, corruption):
+    s = kbonacci(k)
+    n, window = k + 1, 20_000
+    points = _corrupted_cut_points(s, n, window)[corruption]
+    assert not verify_recognizability(s, CutPointSet(n, window, points))
 
 
 def test_appendix_checks():

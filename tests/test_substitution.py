@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import FixedPointStream, Substitution, check_recurrence, kbonacci
+from kbonacci.substitution import occurrences
 from kbonacci.errors import BudgetExceededError
 
 
@@ -53,6 +54,11 @@ def test_budget_guard():
         s.power_image(40, 0)
     with pytest.raises(BudgetExceededError):
         s.fixed_prefix(101)
+    # The budget counts the blocks a prefix is joined from: s^2(0) would be
+    # joined from the level-1 blocks, 3002 + 3002 letters for a 500-letter prefix.
+    s = Substitution(("01", "1" * 3000), length_budget=5000)
+    with pytest.raises(BudgetExceededError):
+        s.fixed_prefix(500)
 
 
 def test_text_roundtrip(s3):
@@ -121,6 +127,80 @@ def test_shared_fixed_point_buffer_matches_fresh_stream(k, requests):
 
 APPLY_SUBSTITUTIONS = [kbonacci(k).images for k in range(2, 6)] + [
     ("01", "10"), ("01", "00"), ("1", "01"), ("02", "0", "01")]
+
+
+def applied_prefix(s, length):
+    """The fixed-point prefix grown by repeated s.apply from the seed image:
+    the reference for FixedPointStream, which never calls apply."""
+    buf = s.images[s.fixed_point_seed()]
+    while len(buf) < length:
+        buf = s.apply(buf)
+    return buf[:length]
+
+
+# ("1", "01") is the one without a seed letter, an a whose image starts with a.
+SEEDED_SUBSTITUTIONS = [images for images in APPLY_SUBSTITUTIONS if images != ("1", "01")]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SEEDED_SUBSTITUTIONS),
+       st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=12))
+def test_fixed_point_stream_matches_repeated_apply(images, requests):
+    s = Substitution(images)
+    stream = FixedPointStream(s)
+    for length in requests:
+        assert stream.prefix(length) == applied_prefix(s, length)
+
+
+def find_loop_occurrences(text, word):
+    """Every start of word in text, overlaps included, by a str.find loop:
+    the reference for the packed-word filter in occurrences."""
+    found = []
+    pos = text.find(word)
+    while pos != -1:
+        found.append(pos)
+        pos = text.find(word, pos + 1)
+    return found
+
+
+@st.composite
+def texts_and_words(draw):
+    """A random or periodic text on 1-3 letters and a word of 0-20 letters:
+    a factor of the text, a random word, or one longer than the text.
+    Periodic texts make every packed window match at many overlapping
+    starts."""
+    alphabet = draw(st.sampled_from(["0", "01", "012"]))
+    if draw(st.booleans()):
+        text = draw(st.text(alphabet=alphabet, max_size=300))
+    else:
+        period = draw(st.text(alphabet=alphabet, min_size=1, max_size=6))
+        text = (period * 300)[: draw(st.integers(min_value=0, max_value=300))]
+    length = draw(st.integers(min_value=0, max_value=20))
+    kind = draw(st.sampled_from(["factor", "random", "longer"]))
+    if kind == "factor":
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        return text, text[start : start + length]
+    if kind == "random":
+        return text, draw(st.text(alphabet=alphabet, min_size=length, max_size=length))
+    return text, text + draw(st.text(alphabet=alphabet, min_size=1, max_size=max(length, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts_and_words())
+@example(("0" * 50, "0" * 9))  # every start matches; the tail window sits at offset 1
+@example(("0120", ""))
+def test_occurrences_match_find_loop(text_and_word):
+    text, word = text_and_word
+    assert occurrences(text, word) == find_loop_occurrences(text, word)
+
+
+@pytest.mark.parametrize("k, window", [(2, 10**4), (3, 3 * 10**5)])
+def test_occurrences_of_blocks_in_the_fixed_point_match_find_loop(k, window):
+    s = kbonacci(k)
+    omega = s.fixed_prefix(window)
+    for n in range(k, k + 4):
+        block = s.power_image(n, 0)
+        assert occurrences(omega, block) == find_loop_occurrences(omega, block)
 
 
 @given(st.sampled_from(APPLY_SUBSTITUTIONS), st.data())
