@@ -160,7 +160,7 @@ def cmd_recog(args, s: Substitution, w: CsvWriter) -> int:
     for n in _levels(args, s):
         cuts = cut_points(s, n, args.window)
         ok = verify_recognizability(s, cuts)
-        w.row(n, args.window, len(cuts.points), int(ok))
+        w.row(n, args.window, len(cuts.starts), int(ok))
     return EXIT_OK
 
 

@@ -6,13 +6,13 @@ fixed point, and recognizability scans.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, InconclusiveWindowError, UncertifiedConfigurationError
-from .substitution import Substitution, occurrences, require_kbonacci
+from .substitution import Substitution, occurrence_starts, require_kbonacci
 from .words import in_language
 
 INFINITE = math.inf
@@ -190,13 +190,22 @@ def delta_after_power(s: Substitution, w: str, n: int) -> int:
     return sum(lengths[a] * w.count(str(a)) for a in range(s.k)) + s.ladder_length(n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutPointSet:
-    """Sorted cut points of the n-th image blocks of the fixed point in [0, W)."""
+    """Sorted cut points of the n-th image blocks of the fixed point in [0, W),
+    held as an int64 array."""
 
     n: int
     window: int
-    points: tuple[int, ...]
+    starts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", np.asarray(self.starts, dtype=np.int64))
+
+    @cached_property
+    def points(self) -> tuple[int, ...]:
+        """The cut points as Python ints."""
+        return tuple(self.starts.tolist())
 
 
 def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
@@ -214,7 +223,7 @@ def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
         raise BudgetExceededError(f"{letters} int64 cut-point sums, at 8 letters each, exceed budget")
     omega = np.frombuffer(s.fixed_prefix(letters).encode("ascii"), dtype=np.uint8) - ord("0")
     ends = np.cumsum(np.array(clipped, dtype=np.int64)[omega])
-    return CutPointSet(n, window, (0, *ends[: np.searchsorted(ends, window)].tolist()))
+    return CutPointSet(n, window, np.concatenate(([0], ends[: np.searchsorted(ends, window)])))
 
 
 def verify_recognizability(s: Substitution, cuts: CutPointSet) -> bool:
@@ -226,12 +235,12 @@ def verify_recognizability(s: Substitution, cuts: CutPointSet) -> bool:
     if n < s.k:
         raise ValueError(f"recognizability scan requires n >= k = {s.k}")
     block = s.power_image(n, 0)
-    usable = cuts.points[: bisect_right(cuts.points, window - len(block))]
+    usable = cuts.starts[: np.searchsorted(cuts.starts, window - len(block), side="right")]
     if len(usable) < 2:
         raise InconclusiveWindowError(
             f"window {window} holds fewer than two full n={n} blocks"
         )
-    return occurrences(s.fixed_prefix(window), block) == list(usable)
+    return np.array_equal(occurrence_starts(s.fixed_prefix(window), block), usable)
 
 
 @dataclass(frozen=True)

@@ -271,8 +271,9 @@ def _packed_windows(data: bytes, width: int) -> np.ndarray:
     return np.ndarray((len(data) - width + 1,), dtype=f"u{width}", buffer=data, strides=(1,))
 
 
-def occurrences(text: str, word: str) -> list[int]:
-    """Start positions of every occurrence of word in text, overlaps included.
+def occurrence_starts(text: str, word: str) -> np.ndarray:
+    """Start positions of every occurrence of word in text, overlaps
+    included, as a sorted integer array.
 
     Text and word are ASCII strings, as every word over a digit alphabet
     is.  The word is read in windows of w letters, w the widest of 8, 4, 2
@@ -282,17 +283,22 @@ def occurrences(text: str, word: str) -> list[int]:
     the rest of the word.
     """
     if not word:
-        return list(range(len(text) + 1))
+        return np.arange(len(text) + 1)
     data, key = text.encode("ascii"), word.encode("ascii")
     if len(key) > len(data):
-        return []
+        return np.zeros(0, dtype=np.intp)
     width = next(w for w in (8, 4, 2, 1) if w <= len(key))
     windows, parts = _packed_windows(data, width), _packed_windows(key, width)
     starts = np.flatnonzero(windows[: len(data) - len(key) + 1] == parts[0])
     for offset in range(width, len(key), width):
         offset = min(offset, len(key) - width)
         starts = starts[windows[starts + offset] == parts[offset]]
-    return starts.tolist()
+    return starts
+
+
+def occurrences(text: str, word: str) -> list[int]:
+    """:func:`occurrence_starts` as a list of Python ints."""
+    return occurrence_starts(text, word).tolist()
 
 
 def kbonacci(k: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Substitution:

@@ -87,7 +87,7 @@ def suite_recognizability(s: Substitution) -> list[CheckResult]:
     for n in range(s.k, s.k + 3):
         ok = verify_recognizability(s, cuts[n])
         rows.append(_result("recognizability", f"n={n} occurrences = cut points", ok))
-    nested = all(set(cuts[n + 1].points) <= set(cuts[n].points) for n in range(1, s.k + 3))
+    nested = all(np.isin(cuts[n + 1].starts, cuts[n].starts).all() for n in range(1, s.k + 3))
     rows.append(_result("recognizability", "cut points nested", nested))
     return rows
 

@@ -3,19 +3,20 @@
 Everything here rests on :meth:`Substitution.two_blocks`: the language
 words of length <= n are exactly the factors of the finitely many words
 s^m(a) s^m(b), ab a 2-factor, at the level m where every m-th image is
-at least n long.  :func:`in_language` searches those words, and
-:class:`LanguageIndex` stores their per-length factor sets up to a
-caller-chosen depth N, built top-down from the length-N layer; queries
-past N raise instead of recomputing, so the cost profile stays
-predictable.  The special words of every length < N are read off the
-same layer in one pass: off its sorted order (right specials) and the
-sorted order of its reversals (left specials).
+at least n long.  :func:`in_language` searches those words.
+:class:`LanguageIndex` keeps one layer up to a caller-chosen depth N: the
+sorted length-N factors T and the common-prefix length lcp[i] of each
+neighbour pair T[i], T[i+1].  Every shorter length is read off those two;
+no other layer is built unless a caller asks for its words.  Queries past
+N raise instead of recomputing, so the cost profile stays predictable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import BudgetExceededError, OutOfIndexError
 from .substitution import Substitution
@@ -26,90 +27,99 @@ def in_language(s: Substitution, u: str) -> bool:
     return not u or any(u in w for w in s.two_blocks(len(u)))
 
 
-@dataclass(frozen=True)
+class _SortedLayer:
+    """Sorted distinct words of one length, held as ``heads``: the first
+    word, then words[i + 1] for every neighbour pair (words[i], words[i + 1])
+    in increasing order of its common-prefix length lcp[i].  ``below[n]``
+    counts the pairs with lcp[i] < n, so heads[:1 + below[n]] are the words
+    whose length-n prefix differs from that of the word before them."""
+
+    def __init__(self, words: list[str], depth: int):
+        lcp = np.zeros(0, dtype=np.intp)
+        if len(words) > 1:
+            rows = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8).reshape(len(words), depth)
+            # distinct neighbours differ somewhere, so each row has a first True
+            lcp = (rows[1:] != rows[:-1]).argmax(axis=1)
+        order = np.argsort(lcp, kind="stable")
+        self.heads: list[str] = [words[0]] + [words[i + 1] for i in order.tolist()]
+        self.below: list[int] = np.searchsorted(lcp[order], np.arange(depth + 1)).tolist()
+
+    def branching(self, n: int) -> list[str]:
+        """The common prefixes of length exactly n of neighbour pairs."""
+        return [w[:n] for w in self.heads[1 + self.below[n] : 1 + self.below[n + 1]]]
+
+
+@dataclass(frozen=True, eq=False)
 class LanguageIndex:
-    """Immutable per-length factor sets of a substitution language, up to depth N."""
+    """The factor language of a substitution up to depth N, read off its
+    sorted length-N factors.
+
+    Every language word of length n <= N is a prefix of a length-N word
+    (the language of a primitive substitution is right-extendable), and
+    the length-n prefixes of sorted(T) change exactly between neighbours
+    whose common prefix is shorter than n.  The language is left-extendable
+    too, so every word is also a suffix of a length-N word, and the sorted
+    reversals of T describe the left extensions the same way.
+    """
 
     depth: int
-    _sets: tuple[frozenset[str], ...] = field(repr=False)
+    _top: _SortedLayer = field(repr=False)
+    _layers: dict[int, frozenset[str]] = field(default_factory=dict, repr=False)
 
-    def words(self, n: int) -> frozenset[str]:
+    def _check(self, n: int) -> None:
         if n < 0 or n > self.depth:
             raise OutOfIndexError(f"length {n} outside indexed depth {self.depth}")
-        return self._sets[n]
+
+    def words(self, n: int) -> frozenset[str]:
+        """The length-n factors, built on first request and kept."""
+        layer = self._layers.get(n)
+        if layer is None:
+            self._check(n)
+            top = self._top
+            layer = self._layers[n] = frozenset([w[:n] for w in top.heads[: 1 + top.below[n]]])
+        return layer
 
     def complexity(self, n: int) -> int:
         """Number of indexed factors of length n."""
-        return len(self.words(n))
+        self._check(n)
+        return 1 + self._top.below[n]
 
     def special_words(self, n: int) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-        """(left-specials, right-specials, bispecials) among length-n factors."""
+        """(left-specials, right-specials, bispecials) among length-n factors.
+
+        w is right special exactly when two neighbours in sorted(T) have
+        longest common prefix w, and left special when two neighbours in
+        the sorted reversals of T have longest common prefix w reversed.
+        """
         if n < 0 or n + 1 > self.depth:
             raise OutOfIndexError(f"classifying length {n} needs depth {n + 1}, have {self.depth}")
-        return self._specials[n]
+        left = frozenset(w[::-1] for w in self._reversed.branching(n))
+        right = frozenset(self._top.branching(n))
+        return left, right, left & right
 
     @cached_property
-    def _specials(self) -> tuple[tuple[frozenset[str], frozenset[str], frozenset[str]], ...]:
-        """The special words of every length < depth, read off the top layer T.
-
-        Every word of length n < depth is both a prefix and a suffix of a
-        word of T (the language is right- and left-extendable).  So w is
-        right special exactly when two neighbours in sorted(T) have longest
-        common prefix w, and left special when two neighbours in the sorted
-        reversals of T have longest common prefix w reversed.
-        """
-        top = self.words(self.depth)
-        right = _branching_prefixes(sorted(top), self.depth)
-        reversed_left = _branching_prefixes(sorted(u[::-1] for u in top), self.depth)
-        left = [frozenset(w[::-1] for w in words) for words in reversed_left]
-        return tuple((lw, rw, lw & rw) for lw, rw in zip(left, right))
-
-
-def _branching_prefixes(ordered: list[str], depth: int) -> list[frozenset[str]]:
-    """Per length n < depth, the longest common prefixes of length n of
-    neighbours in ordered, a sorted list of distinct depth-long words."""
-    found: list[set[str]] = [set() for _ in range(depth)]
-    for a, b in zip(ordered, ordered[1:]):
-        # bisection for the longest common prefix; a != b, so it is < depth
-        lo, hi = 0, depth - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if a[:mid] == b[:mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        found[lo].add(a[:lo])
-    return [frozenset(f) for f in found]
+    def _reversed(self) -> _SortedLayer:
+        return _SortedLayer(sorted(u[::-1] for u in self._top.heads), self.depth)
 
 
 def build_language(s: Substitution, depth: int) -> LanguageIndex:
     """Index every factor of length <= depth of the language of s.
 
-    The length-depth factors are sliced out of ``s.two_blocks(depth)``;
-    each shorter layer is the set of prefixes u[:-1] of the layer above.
-    That is exact because the language of a primitive substitution is
-    right-extendable: every word is a prefix of a word one letter longer.
-    It is left-extendable too (every word occurs at some position > 0 of
-    a long enough s^m(a)), so every word is also a suffix of a length-depth
-    word; :meth:`LanguageIndex.special_words` relies on both.
-    Raises BudgetExceededError before the index holds more than
+    The length-depth factors are sliced out of ``s.two_blocks(depth)`` and
+    sorted; see :class:`LanguageIndex` for how the shorter lengths are read.
+    Raises BudgetExceededError when the slices, or the factors of every
+    length <= depth held as separate words, would exceed
     ``s.length_budget`` letters.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     blocks = s.two_blocks(depth)
     # one length-depth word at most per slice position
-    letters = depth * sum(len(w) - depth + 1 for w in blocks)
-    _charge(s, letters, depth)
-    layer = frozenset(w[i : i + depth] for w in blocks for i in range(len(w) - depth + 1))
-    letters = depth * len(layer)
-    sets = [layer]
-    for m in range(depth - 1, -1, -1):
-        layer = frozenset(u[:-1] for u in layer)
-        letters += m * len(layer)
-        _charge(s, letters, depth)
-        sets.append(layer)
-    return LanguageIndex(depth, tuple(reversed(sets)))
+    _charge(s, depth * sum(len(w) - depth + 1 for w in blocks), depth)
+    top = _SortedLayer(sorted({w[i : i + depth] for w in blocks for i in range(len(w) - depth + 1)}), depth)
+    # the letters of every layer held as separate words, complexity(m) = 1 + below[m] each
+    _charge(s, sum(m * (1 + below) for m, below in enumerate(top.below)), depth)
+    return LanguageIndex(depth, top)
 
 
 def _charge(s: Substitution, letters: int, depth: int) -> None:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbonacci import Configuration, Substitution, build_language, in_language, kbonacci
-from kbonacci.errors import OutOfIndexError
+from kbonacci.errors import BudgetExceededError, OutOfIndexError
 from kbonacci.recognition import delta
 
 
@@ -191,3 +191,62 @@ def test_top_down_language_matches_slicing_oracle(images, depth):
         assert index.special_words(n) == concatenated_specials(s, oracle[n], oracle[n + 1])
     with pytest.raises(OutOfIndexError):
         index.special_words(depth)
+
+
+# The layer-by-layer build the sorted-top-layer index replaced, kept as
+# its oracle: the length-depth factors sliced out of the two-block words,
+# then each shorter layer the prefixes u[:-1] of the layer above, charging
+# the letters every layer holds against the budget as it goes.
+def top_down_language(s, depth):
+    blocks = s.two_blocks(depth)
+    letters = depth * sum(len(w) - depth + 1 for w in blocks)
+    if letters > s.length_budget:
+        raise BudgetExceededError(f"{letters} letters before slicing")
+    layer = frozenset(w[i : i + depth] for w in blocks for i in range(len(w) - depth + 1))
+    letters = depth * len(layer)
+    layers = [layer]
+    for m in range(depth - 1, -1, -1):
+        layer = frozenset(u[:-1] for u in layer)
+        letters += m * len(layer)
+        if letters > s.length_budget:
+            raise BudgetExceededError(f"{letters} letters at length {m}")
+        layers.append(layer)
+    return layers[::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LANGUAGE_SUBSTITUTIONS), st.integers(min_value=0, max_value=60))
+def test_sorted_top_layer_matches_top_down_oracle(images, depth):
+    s = Substitution(images)
+    index = build_language(s, depth)
+    oracle = top_down_language(s, depth)
+    for n in range(depth + 1):
+        assert index.words(n) == oracle[n]
+        assert index.complexity(n) == len(oracle[n])
+    for n in range(depth):
+        assert index.special_words(n) == concatenated_specials(s, oracle[n], oracle[n + 1])
+
+
+def _raises_budget(build, images, depth, budget):
+    try:
+        build(Substitution(images, length_budget=budget), depth)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 5, 30, 100])
+def test_budget_matches_top_down_oracle(k, depth):
+    # The build raises at exactly the budgets the layer-by-layer build did:
+    # below the letters it sliced, or below the letters of all its layers.
+    images = kbonacci(k).images
+    s = Substitution(images)
+    sliced = depth * sum(len(w) - depth + 1 for w in s.two_blocks(depth))
+    held = sum(m * len(layer) for m, layer in enumerate(top_down_language(s, depth)))
+    for total in (sliced, held):
+        for budget in (total - 1, total, total + 1):
+            expected = _raises_budget(top_down_language, images, depth, budget)
+            assert _raises_budget(build_language, images, depth, budget) == expected
+    assert _raises_budget(build_language, images, depth, max(sliced, held) - 1)
+    assert not _raises_budget(build_language, images, depth, max(sliced, held))
