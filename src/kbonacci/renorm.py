@@ -87,12 +87,22 @@ def renorm_after_power(s: Substitution, V: Potential, w: str, n: int) -> float:
     require_kbonacci(s)
     if n < s.k:
         raise ValueError(f"closed-form mode requires n >= k = {s.k}")
+    return _closed_form(s, V, w, n, _constant_numerator(s, V))
+
+
+def _constant_numerator(s: Substitution, V: Potential) -> float | None:
+    """g + h when it does not depend on the window, else None."""
+    return V.numerator_range("", s.k)[0] if V.is_locally_trivial else None
+
+
+def _closed_form(s: Substitution, V: Potential, w: str, n: int, numer: float | None) -> float:
+    """renorm_after_power for a V validated on a k-bonacci s and n >= k,
+    with numer = _constant_numerator(s, V)."""
     if V.order > s.ladder_length(n - 1) + 1:
         raise ValueError(f"potential order {V.order} exceeds s.ladder_length({n - 1}) + 1")
     big_delta = delta_after_power(s, w, n)
     block = s.power_lengths(n)[int(w[0])]
-    if V.is_locally_trivial:
-        numer = V.numerator_range("", s.k)[0]
+    if numer is not None:
         return numer * _inverse_power_sum(V.alpha, big_delta - block + 1, big_delta)
     word = maximal_prefix_after_power(s, w, n)[: block + V.order - 1]
     arr = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
@@ -123,25 +133,33 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
 
     For hi - lo <= _DIRECT_SPAN it is the term-by-term math.fsum.  Longer
     ranges take the Euler-Maclaurin formula (DLMF 2.10.1) for f(x) = x^-alpha
-    in 34-digit decimal, rounded to float once: the terms d < 64 directly,
-    then for [a, b] the integral, half of each end term and six Bernoulli
+    in decimal, rounded to float once: the terms d < 64 directly, then for
+    [a, b] the integral, half of each end term and six Bernoulli
     corrections.  Every derivative of f is monotone, so the remainder is
     bounded by the first omitted correction, below 1e-21 of the sum for
-    alpha <= 4.
+    alpha <= 4.  The integral (b^(1-alpha) - a^(1-alpha)) / (1 - alpha)
+    loses to cancellation about the digits of b / ((b - a)|1 - alpha|),
+    so they are carried on top of 34.  A power x^-alpha is
+    exp(-alpha ln x), two correctly rounded functions at a fraction of the
+    cost of the correctly rounded power, except at integral alpha, where
+    the exact integer power is cheaper still.
     """
     if hi < lo:
         return 0.0
     if hi - lo <= _DIRECT_SPAN:
-        return math.fsum(d ** (-alpha) for d in range(lo, hi + 1))
+        return math.fsum(map(pow, range(lo, hi + 1), itertools.repeat(-alpha)))
     from decimal import Decimal, localcontext
 
+    a = max(lo, 64)
     with localcontext() as ctx:
         ctx.prec = 34
+        if alpha != 1.0:
+            ctx.prec += max(0, math.ceil(math.log10(hi / ((hi - a) * abs(1.0 - alpha)))))
         s = Decimal(alpha)
-        a = max(lo, 64)
-        total = sum(Decimal(d) ** -s for d in range(lo, a))
+        power = (lambda x: x**-s) if float(alpha).is_integer() else (lambda x: (-s * x.ln()).exp())
+        total = sum(power(Decimal(d)) for d in range(lo, a))
         A, B = Decimal(a), Decimal(hi)
-        fa, fb = A ** -s, B ** -s
+        fa, fb = power(A), power(B)
         total += (B / A).ln() if alpha == 1.0 else (B * fb - A * fa) / (1 - s)
         total += (fa + fb) / 2
         # f^(2j-1)(x) = -(s)_(2j-1) x^(-s-2j+1), (s)_m the rising factorial
@@ -299,8 +317,9 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
     require_kbonacci(s)
     if n_max < s.k:
         raise ValueError(f"n_max must be at least k = {s.k}, got {n_max}")
-    V.validate_for(s)  # a point of the subshift reaches no level that validates
+    V.validate_for(s)  # once, and before the subshift's early zeros
     w = None if x.in_subshift else maximal_prefix(s, x)
+    numer = _constant_numerator(s, V)
     rows = []
     for n in range(n_max + 1):
         method = "brute-force" if n < s.k else "closed-form"
@@ -311,7 +330,7 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
         elif method == "brute-force":
             value = renorm_power(s, V, x, n, mode=method)
         else:
-            value = renorm_after_power(s, V, w, n)
+            value = _closed_form(s, V, w, n, numer)
         rows.append((n, value, method))
         if value > DIVERGENCE_THRESHOLD:
             break

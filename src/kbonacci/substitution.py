@@ -8,6 +8,7 @@ accept larger k directly, see :mod:`kbonacci.spectral`.
 
 from __future__ import annotations
 
+import bisect
 from typing import Sequence
 
 import numpy as np
@@ -63,9 +64,13 @@ class Substitution:
         self._cached_letters = 0
         self._lengths: list[tuple[int, ...]] = [(1,) * k]  # _lengths[n][a] = |s^n(a)|
         self._ladder = [0]  # _ladder[n] = sum_{l<n} |s^l(0)|
+        self._shortest = [1]  # _shortest[m] = min_a |s^m(a)|, nondecreasing in m
         self._stream: FixedPointStream | None = None
         self._pairs: frozenset[str] | None = None
         self._two_blocks: dict[int, tuple[str, ...]] = {}  # block level m -> words
+        self._level_texts: dict[int, str] = {}  # block level m -> its words joined by "|"
+        self._texts: dict[int, str] = {}  # word length n -> the text of its block level
+        self.is_kbonacci = k >= 2 and images == _kbonacci_images(k)
         self._lang_cache = None  # LanguageIndex
 
     # -- basic morphism operations ------------------------------------
@@ -135,13 +140,20 @@ class Substitution:
         """Smallest m >= 1 with |s^m(a)| >= n for every letter a.
 
         At that level any factor of length n of the fixed point spans at
-        most two m-th image blocks.  Requires image lengths to grow without
-        bound, as they do for a primitive substitution on k >= 2 letters.
+        most two m-th image blocks.  The shortest image length never falls
+        from one level to the next, so m is one bisection over the shortest
+        lengths, kept per level.  They must grow without bound, as they do
+        for a primitive, expanding substitution: if the shortest stays put
+        for k levels, some letter's images are single letters forever, and
+        ValueError is raised.
         """
-        m = 1
-        while min(self.power_lengths(m)) < n:
-            m += 1
-        return m
+        shortest = self._shortest
+        while shortest[-1] < n:
+            m = len(shortest)
+            shortest.append(min(self.power_lengths(m)))
+            if m >= self.k and shortest[m] == shortest[m - self.k]:
+                raise ValueError(f"image lengths stop growing; no level has every image {n} long")
+        return max(1, bisect.bisect_left(shortest, n))
 
     # -- matrix and primitivity ---------------------------------------
 
@@ -208,6 +220,20 @@ class Substitution:
             words = tuple(self.power_image(m, p[0]) + self.power_image(m, p[1]) for p in sorted(pairs))
             self._two_blocks[m] = words
         return words
+
+    def language_text(self, n: int) -> str:
+        """``"|".join(self.two_blocks(n))``: a word of length <= n is in the
+        language exactly when it occurs in this text, "|" being no letter.
+        One string per block level, looked up by n."""
+        text = self._texts.get(n)
+        if text is None:
+            words = self.two_blocks(n)  # raises on a non-primitive s before block_level runs
+            m = self.block_level(n)
+            text = self._level_texts.get(m)
+            if text is None:
+                text = self._level_texts[m] = "|".join(words)
+            self._texts[n] = text
+        return text
 
     def language(self, depth: int):
         """A LanguageIndex for this substitution, cached and grown on demand."""
@@ -307,16 +333,15 @@ def kbonacci(k: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Substitution
         raise ValueError(f"k-bonacci requires k >= 2, got {k}")
     if k > MAX_ALPHABET:
         raise ValueError(f"word machinery supports k <= {MAX_ALPHABET}, got {k}")
-    images = [f"0{a + 1}" for a in range(k - 1)] + ["0"]
-    return Substitution(images, length_budget=length_budget)
+    return Substitution(_kbonacci_images(k), length_budget=length_budget)
+
+
+def _kbonacci_images(k: int) -> tuple[str, ...]:
+    return tuple(f"0{a + 1}" for a in range(k - 1)) + ("0",)
 
 
 def is_kbonacci(s: Substitution) -> bool:
-    k = s.k
-    if k < 2:
-        return False
-    expected = tuple(f"0{a + 1}" for a in range(k - 1)) + ("0",)
-    return s.images == expected
+    return s.is_kbonacci
 
 
 def require_kbonacci(s: Substitution) -> None:

@@ -3,7 +3,8 @@
 Everything here rests on :meth:`Substitution.two_blocks`: the language
 words of length <= n are exactly the factors of the finitely many words
 s^m(a) s^m(b), ab a 2-factor, at the level m where every m-th image is
-at least n long.  :func:`in_language` searches those words.
+at least n long.  :func:`in_language` searches those words, joined into
+one text per level by a separator that is no letter.
 :class:`LanguageIndex` keeps one layer up to a caller-chosen depth N: the
 sorted length-N factors T and the common-prefix length lcp[i] of each
 neighbour pair T[i], T[i+1].  Every shorter length is read off those two;
@@ -23,8 +24,9 @@ from .substitution import Substitution
 
 
 def in_language(s: Substitution, u: str) -> bool:
-    """Exact membership of u in the factor language of a primitive s."""
-    return not u or any(u in w for w in s.two_blocks(len(u)))
+    """Exact membership of u in the factor language of a primitive s: one
+    substring search of the two-block words at the level of len(u)."""
+    return not u or u in s.language_text(len(u))
 
 
 class _SortedLayer:

@@ -21,6 +21,7 @@ from kbonacci import (
     tribonacci_appendix_checks,
     verify_recognizability,
 )
+from kbonacci import verify
 from kbonacci.errors import UncertifiedConfigurationError
 from kbonacci.sampling import sample_configurations
 
@@ -120,6 +121,17 @@ def test_shifted_break_equals_scan_on_random_configurations(k, seed, extra, wher
     base = delta_after_power(s, maximal_prefix(s, x), n)
     word = power_prefix(s, x, n, base + 1)
     assert base - j == brute_delta(s, word, j)
+
+
+@pytest.mark.parametrize("k, checks", [(2, 116), (3, 214), (4, 262)])
+@pytest.mark.parametrize("error", [-1, 0, 1])
+def test_the_delta_suite_sweep_catches_a_closed_form_off_by_one(k, checks, error, monkeypatch):
+    # the suite reads the breaks off one sweep per configuration and level;
+    # a closed form off by one at a single level must still fail it
+    original = verify.delta_after_power
+    monkeypatch.setattr(verify, "delta_after_power", lambda s, w, n: original(s, w, n) + error * (n == s.k + 1))
+    (row,) = verify.suite_delta(kbonacci(k))
+    assert (row.passed, row.detail) == (error == 0, f"{checks} checks")
 
 
 @settings(max_examples=40, deadline=None)

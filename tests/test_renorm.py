@@ -188,6 +188,25 @@ def test_trichotomy_verdicts(s3):
     assert critical.limit == pytest.approx(fixed_point_U(s3, ZEROS), abs=1e-4)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 3.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_convergence_study_rows_are_the_single_level_entry_points(k, alpha, seed):
+    # the study reads its checks and numerator once; every row is bit for bit
+    # what the checked entry point of its method gives at that level
+    s = kbonacci(k)
+    V = Potential.v0(alpha)
+    x = sample_configurations(s, 1, seed)[0]
+    study = convergence_study(s, V, x, n_max=20)
+    w = maximal_prefix(s, x)
+    assert study.rows[0] == (0, eval_potential(s, V, x), "brute-force")
+    for n, value, method in study.rows[1:]:
+        if n < k:
+            assert (value, method) == (renorm_power(s, V, x, n, "brute-force"), "brute-force")
+        else:
+            assert (value, method) == (renorm_after_power(s, V, w, n), "closed-form")
+
+
 def test_nonconstant_numerator_limit(s3):
     # g = 1 + 1_[0]: the limit picks up the mean of g
     g = CylinderFunction.indicator("0", 1.0, base=1.0)
@@ -225,6 +244,11 @@ def test_inverse_power_sum_is_term_by_term_up_to_the_direct_span(s2, s3, s4):
 @example(1.0 - 2**-40, 10**6, 10**9)
 @example(4.0, 1, _DIRECT_SPAN + 1)
 @example(4.0, 64, _DIRECT_SPAN + 1)
+# alpha within a few ulps of 1: the integral term cancels to about 16 digits,
+# and to about 6 more where lo >> span
+@example(0.9999999999999998, 887871144, 2001)
+@example(0.9999999999999996, 506634, 2001)
+@example(0.9999999999999996, 684893, 2001)
 def test_inverse_power_sum_matches_the_hurwitz_zeta_difference(alpha, lo, span):
     # sum_{d=lo}^{hi} d^-alpha = zeta(alpha, lo) - zeta(alpha, hi + 1), or
     # psi(hi + 1) - psi(lo) at alpha = 1, at 50 digits

@@ -117,6 +117,25 @@ def test_block_level_is_minimal(k, requests):
         assert m == 1 or min(s.power_lengths(m - 1)) < n
 
 
+@pytest.mark.parametrize("images", [("1", "0"), ("0",), ("01", "1", "2"), ("0", "1", "2")])
+def test_block_level_rejects_images_that_stop_growing(images, time_limit):
+    # each has a letter whose images stay one letter long, so no level is long enough
+    s = Substitution(images)
+    with time_limit(2.0):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                s.block_level(5)
+
+
+def test_block_level_waits_out_a_shortest_image_that_stalls_for_fewer_than_k_levels():
+    # primitive: the shortest image is one letter at levels 0, 1 and 2, then grows
+    s = Substitution(("1", "2", "01"))
+    shortest = [min(s.power_lengths(m)) for m in range(12)]
+    assert shortest[:4] == [1, 1, 1, 2]
+    for n in range(1, shortest[-1] + 1):
+        assert s.block_level(n) == next(m for m in range(1, 12) if shortest[m] >= n)
+
+
 @settings(deadline=None)
 @given(ks, st.lists(st.integers(min_value=0, max_value=3000), min_size=1, max_size=12))
 def test_shared_fixed_point_buffer_matches_fresh_stream(k, requests):

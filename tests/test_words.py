@@ -123,23 +123,31 @@ def test_language_closed_under_substitution(s3):
             assert in_language(s3, s3.apply(w))
 
 
-@pytest.mark.parametrize("images", [("01", "1", "2"), ("0",)])
-def test_non_primitive_substitution_is_rejected(images):
+@pytest.mark.parametrize("images", [("01", "1", "2"), ("0",), ("1", "0"), ("0", "1")])
+def test_non_primitive_substitution_is_rejected(images, time_limit):
+    # the primitivity check comes before the block level, which no image here reaches
     s = Substitution(images)
-    with pytest.raises(ValueError):
-        in_language(s, "00")
-    with pytest.raises(ValueError):
-        delta(s, Configuration("0000", "const", "0"))
-    with pytest.raises(ValueError):
-        build_language(s, 3)
+    with time_limit(2.0):
+        for u in ("00", "0" * 300):
+            with pytest.raises(ValueError):
+                in_language(s, u)
+        with pytest.raises(ValueError):
+            delta(s, Configuration("0000", "const", "0"))
+        with pytest.raises(ValueError):
+            build_language(s, 3)
 
 
-def long_word_factors(s, n):
-    """Factors of length n of s^N(0) with |s^N(0)| >= 4000; needs no fixed point."""
+def long_word(s):
+    """s^N(0) for the least N with |s^N(0)| >= 4000; needs no fixed point."""
     level = 0
     while len(s.power_image(level, 0)) < 4000:
         level += 1
-    word = s.power_image(level, 0)
+    return s.power_image(level, 0)
+
+
+def long_word_factors(s, n):
+    """Factors of length n of long_word(s)."""
+    word = long_word(s)
     return {word[i : i + n] for i in range(len(word) - n + 1)}
 
 
@@ -159,6 +167,57 @@ def test_language_matches_long_word_factors(images, depth):
         for tup in itertools.product(letters, repeat=n):
             w = "".join(tup)
             assert in_language(s, w) == (w in oracle[n])
+
+
+def two_block_membership(s, u):
+    """The membership oracle: u is a factor of one of the two-block words, searched one by one."""
+    return not u or any(u in w for w in s.two_blocks(len(u)))
+
+
+@st.composite
+def membership_queries(draw):
+    """A substitution of ORACLE_SUBSTITUTIONS (k-bonacci for k = 2..5, and two
+    that are primitive but not Arnoux-Rauzy, Thue-Morse among them) and
+    queries: factors of its long word, the same with one letter changed, and
+    words at random, of lengths at and one past a block-level step (the
+    shortest image length of a level), or anywhere up to 300."""
+    s = Substitution(draw(st.sampled_from(ORACLE_SUBSTITUTIONS)))
+    letters = "".join(str(a) for a in range(s.k))
+    word = long_word(s)
+    steps = sorted({min(s.power_lengths(m)) for m in range(1, 13)} & set(range(1, 300)))
+    at_a_step = st.sampled_from(steps).flatmap(lambda step: st.sampled_from([step, step + 1]))
+    queries = []
+    for _ in range(draw(st.integers(1, 10))):
+        n = draw(at_a_step | st.integers(1, 300))
+        kind = draw(st.sampled_from(["factor", "edit", "random"]))
+        if kind == "random":
+            queries.append(draw(st.text(alphabet=letters, min_size=n, max_size=n)))
+            continue
+        start = draw(st.integers(0, len(word) - n))
+        u = word[start : start + n]
+        if kind == "edit":
+            p = draw(st.integers(0, n - 1))
+            u = u[:p] + draw(st.sampled_from(letters.replace(u[p], ""))) + u[p + 1 :]
+        queries.append(u)
+    return s.images, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_queries())
+def test_membership_matches_the_two_block_oracle(case):
+    images, queries = case
+    s, oracle = Substitution(images), Substitution(images)  # per-length texts built in the drawn order
+    assert [in_language(s, u) for u in queries] == [two_block_membership(oracle, u) for u in queries]
+
+
+@pytest.mark.parametrize("images", ORACLE_SUBSTITUTIONS)
+def test_lengths_of_one_block_level_share_one_text(images):
+    s = Substitution(images)
+    texts = {n: s.language_text(n) for n in range(1, 120)}
+    for n, text in texts.items():
+        assert text == "|".join(s.two_blocks(n))
+        for other in range(1, n):
+            assert (texts[other] is text) == (s.block_level(other) == s.block_level(n))
 
 
 # The slicing build and the concatenation classifier these replaced, kept
