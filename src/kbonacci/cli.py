@@ -49,7 +49,8 @@ class CsvWriter:
         self.buffer.write(f"# {config_line}\n")
 
     def row(self, *cells):
-        self.buffer.write(",".join(_fmt(c) for c in cells) + "\n")
+        # _fmt inlined: np.float64 is a float, so it takes the same branch
+        self.buffer.write(",".join([f"{c:.12g}" if isinstance(c, float) else str(c) for c in cells]) + "\n")
 
     def dump(self, out_path: str | None):
         text = self.buffer.getvalue()

@@ -4,9 +4,16 @@ and the bispecial machinery behind it.
 The pressure P(beta) = sup over invariant measures of h - beta * integral(V)
 is bracketed at depth n by summing exp(-beta S) over all k^n windows,
 with S the Birkhoff sum of V bounded from each side using the break
-position of every suffix.  The window sums equal the per-suffix scalar
-sums bit for bit; the log-sum then runs once per distinct sum, weighted
-by its multiplicity, over the whole beta grid at once.  Windows that
+position of every suffix.  The sweep keeps one (2, k^m) table of suffix
+terms per length m: the language words of length m are the leading
+base-k digits of the codes of the length-n ones, the breaks follow the
+prefix-closure recurrence from one length to the next, and the numerator
+bounds are read once per prefix length.  The tables are added in place
+into one (2, k^n) accumulator through a reshaped view, the length-n table
+first as the per-suffix enumeration adds its terms, so the window sums
+equal the per-suffix scalar sums bit for bit.  The log-sum then runs
+once per distinct sum, weighted by its multiplicity, over the whole beta
+grid at once.  Windows that
 stay inside the language keep the bracket open (the break may sit
 arbitrarily far to the right), which puts a hard floor of log(#L_n)/n
 under the upper estimate at finite depth; the floor is reported so
@@ -28,6 +35,12 @@ from .substitution import Substitution, occurrences
 
 PRESSURE_WORD_BUDGET = 10**7
 DEFAULT_TOL = 1e-3
+# A suffix table narrower than this is tiled up to about this width before
+# it is added across the windows: a broadcast over short rows is slower.
+_TILE_WIDTH = 512
+# Entries of one block of the beta grid in _log_partition, unless the
+# window array is larger: fewer, larger blocks at small depths.
+_BLOCK_ENTRIES = 2**16
 
 
 def default_beta_grid(points: int = 64, lo: float = 0.01, hi: float = 64.0) -> np.ndarray:
@@ -45,10 +58,12 @@ def birkhoff_bounds(s: Substitution, V: Potential, n: int) -> tuple[np.ndarray, 
     the language, in which case the term is bracketed by
     [0, max(g + h) / |u|^alpha].
 
-    Terms are tabled per suffix length m over the k^m words in
-    lexicographic order: u[:-1] has index index(u) // k, w[n-m:] has
-    index index(w) mod k^m, and as the language is closed under
-    prefixes, break(u) = |u| on the language and break(u[:-1]) off it.
+    Terms are tabled per suffix length m as one (2, k^m) array over the
+    k^m words in lexicographic order: u[:-1] has index index(u) // k,
+    w[n-m:] has index index(w) mod k^m, and as the language is closed
+    under prefixes, break(u) = |u| on the language and break(u[:-1]) off
+    it.  The language is also right-extendable, so the length-m language
+    words are the indices index(v) // k^(n-m) of the length-n ones v.
     """
     if n < V.order:
         raise ValueError(f"depth {n} below potential order {V.order}")
@@ -57,42 +72,41 @@ def birkhoff_bounds(s: Substitution, V: Potential, n: int) -> tuple[np.ndarray, 
     total = k**n
     if total > PRESSURE_WORD_BUDGET:
         raise BudgetExceededError(f"{total} windows exceed the sweep budget")
-    index = s.language(n)
+    top = s.language(n).words(n)
+    digits = np.frombuffer("".join(top).encode("ascii"), dtype=np.uint8).reshape(len(top), n) - ord("0")
+    codes = digits @ k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     max_numer = V.numerator_range("", k)[1]
     # Python's float power, not np.power, so the sums equal those of the
     # per-suffix enumeration in tests/test_pressure.py bit for bit.
     powers = np.array([float(q) ** V.alpha for q in range(n + 1)])
+    # numerator_range(u) only reads u[:order]: one (2, k^r) table per prefix length r
     letters = [str(a) for a in range(k)]
-    breaks = np.zeros(1, dtype=np.int64)
+    numer = {
+        r: np.array([V.numerator_range("".join(p), k) for p in itertools.product(letters, repeat=r)]).T
+        for r in range(1, min(n, V.order) + 1)
+    }
+    denom = np.zeros(1)  # |break(u)|^alpha, over the words u of the current length
     tables = []
     for m in range(1, n + 1):
-        inside = np.zeros(k**m, dtype=bool)
-        inside[[_lex_index(u, k) for u in index.words(m)]] = True
-        breaks = np.where(inside, m, np.repeat(breaks, k))
-        # numerator_range(u) only reads u[:order]
+        inside = codes // k ** (n - m)
+        denom = np.repeat(denom, k)
+        denom[inside] = powers[m]
         r = min(m, V.order)
-        prefixes = ("".join(p) for p in itertools.product(letters, repeat=r))
-        numer = np.array([V.numerator_range(p, k) for p in prefixes])
-        num_lo, num_hi = np.repeat(numer, k ** (m - r), axis=0).T
-        d = powers[breaks]
-        lo_m = np.where(inside, 0.0, num_lo / d)
-        hi_m = np.where(inside, max_numer / powers[m], num_hi / d)
-        tables.append((lo_m, hi_m))
-    s_lo = np.zeros(total)
-    s_hi = np.zeros(total)
+        table = (numer[r][:, :, None] / denom.reshape(k**r, -1)).reshape(2, -1)
+        table[0, inside] = 0.0
+        table[1, inside] = max_numer / powers[m]
+        tables.append(table)
     # suffixes w[0:], w[1:], ..., w[n-1:]: the enumeration's summation order
-    for lo_m, hi_m in reversed(tables):
-        s_lo += np.tile(lo_m, total // lo_m.size)
-        s_hi += np.tile(hi_m, total // hi_m.size)
-    return s_lo, s_hi
-
-
-def _lex_index(u: str, k: int) -> int:
-    """Index of u among the k^|u| words of its length in lexicographic order."""
-    code = 0
-    for a in u:
-        code = code * k + int(a)
-    return code
+    acc = tables.pop()
+    for table in reversed(tables):
+        reps = 1
+        while table.shape[1] * reps < min(_TILE_WIDTH, total):
+            reps *= k
+        if reps > 1:  # np.tile(table, reps), at a third of its call overhead
+            table = np.repeat(table[:, None, :], reps, axis=1).reshape(2, -1)
+        rows = acc.reshape(2, -1, table.shape[1])  # a view: the sum lands in acc
+        rows += table[:, None, :]
+    return acc[0], acc[1]
 
 
 def _log_partition(S: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -100,13 +114,14 @@ def _log_partition(S: np.ndarray, betas: np.ndarray) -> np.ndarray:
 
     The sum runs once per distinct value u of S, weighted by its count
     c_u, as m + log sum_u c_u exp(-beta u - m) with m the largest
-    exponent.  The grid is taken in blocks of S.size // U rows, U the
-    number of distinct values, so no block holds more entries than S.
+    exponent.  The grid is taken in blocks of max(S.size, _BLOCK_ENTRIES)
+    // U rows, U the number of distinct values; each row is reduced on
+    its own, so the block size does not change a bit of the result.
     """
     values, counts = np.unique(S, return_counts=True)
     betas = np.asarray(betas, dtype=float)
     out = np.empty(betas.size)
-    rows = max(1, S.size // values.size)
+    rows = max(1, max(S.size, _BLOCK_ENTRIES) // values.size)
     for i in range(0, betas.size, rows):
         block = np.multiply.outer(-betas[i : i + rows], values)
         m = block.max(axis=1)
@@ -177,7 +192,7 @@ def pressure_curve(
     if betas is None:
         betas = default_beta_grid()
     s_lo, s_hi = birkhoff_bounds(s, V, n)
-    floor = math.log(len(s.language(n).words(n))) / n
+    floor = math.log(s.language(n).complexity(n)) / n
     lows = np.maximum(_log_partition(s_hi, betas) / n, 0.0)
     highs = _log_partition(s_lo, betas) / n
     return PressureCurve(

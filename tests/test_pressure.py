@@ -24,6 +24,7 @@ from kbonacci import (
     verify_ladder,
 )
 from kbonacci.errors import BudgetExceededError
+from kbonacci.pressure import _BLOCK_ENTRIES, _TILE_WIDTH, _log_partition
 from kbonacci.potentials import CylinderFunction
 
 V0 = Potential.v0(1.0)
@@ -120,6 +121,84 @@ def test_birkhoff_bounds_one_letter():
         assert s_lo.shape == (1,) and np.all(s_lo == 0.0)
         o_lo, o_hi = enumerated_bounds(s, V0, n)
         assert np.array_equal(s_lo, o_lo) and np.array_equal(s_hi, o_hi)
+
+
+def tabled_bounds(s, V, n):
+    """Oracle for birkhoff_bounds at depths the enumeration cannot reach:
+    one (lo, hi) table per suffix length m, membership read off the word
+    set of each layer, one numerator_range call per prefix, and every
+    table tiled to the full k^n width before it is added."""
+    k = s.k
+    index = s.language(n)
+    max_numer = V.numerator_range("", k)[1]
+    powers = np.array([float(q) ** V.alpha for q in range(n + 1)])
+    letters = [str(a) for a in range(k)]
+    breaks = np.zeros(1, dtype=np.int64)
+    tables = []
+    for m in range(1, n + 1):
+        inside = np.zeros(k**m, dtype=bool)
+        inside[[int(u, k) for u in index.words(m)]] = True
+        breaks = np.where(inside, m, np.repeat(breaks, k))
+        r = min(m, V.order)
+        prefixes = ("".join(p) for p in itertools.product(letters, repeat=r))
+        numer = np.array([V.numerator_range(p, k) for p in prefixes])
+        num_lo, num_hi = np.repeat(numer, k ** (m - r), axis=0).T
+        d = powers[breaks]
+        lo_m = np.where(inside, 0.0, num_lo / d)
+        hi_m = np.where(inside, max_numer / powers[m], num_hi / d)
+        tables.append((lo_m, hi_m))
+    s_lo = np.zeros(k**n)
+    s_hi = np.zeros(k**n)
+    for lo_m, hi_m in reversed(tables):
+        s_lo += np.tile(lo_m, k**n // lo_m.size)
+        s_hi += np.tile(hi_m, k**n // hi_m.size)
+    return s_lo, s_hi
+
+
+def fixed_order_two_potential(s, alpha):
+    """An order-2 potential with a distinct g on every 2-window and h > 0
+    exactly off the language."""
+    windows = ["".join(p) for p in itertools.product([str(a) for a in range(s.k)], repeat=2)]
+    g = {w: 0.5 + 0.37 * i for i, w in enumerate(windows)}
+    h = {w: 0.25 + 1.13 * i for i, w in enumerate(windows) if not in_language(s, w)}
+    return Potential(alpha, CylinderFunction(2, g), CylinderFunction(2, h, default=0.0))
+
+
+# (substitution, largest depth): the pressure depths the benchmark runs at
+# k = 2..5, and the two non-k-bonacci oracle substitutions as deep
+TABLE_CASES = [
+    (kbonacci(2), 15),
+    (kbonacci(3), 9),
+    (kbonacci(4), 7),
+    (kbonacci(5), 6),
+    (Substitution(("01", "10")), 14),
+    (Substitution(("1", "01")), 14),
+]
+
+
+@pytest.mark.parametrize("s, n_max", TABLE_CASES, ids=["k2", "k3", "k4", "k5", "thue-morse", "1,01"])
+def test_birkhoff_bounds_equal_the_table_oracle(s, n_max):
+    # the deepest case adds tables both below and above the tiling width
+    assert s.k < _TILE_WIDTH < s.k**n_max
+    for alpha in (0.5, 1.0, 2.0):
+        for V in (Potential.v0(alpha), fixed_order_two_potential(s, alpha)):
+            for n in range(V.order, n_max + 1):
+                s_lo, s_hi = birkhoff_bounds(s, V, n)
+                o_lo, o_hi = tabled_bounds(s, V, n)
+                assert np.array_equal(s_lo, o_lo), (alpha, V.order, n)
+                assert np.array_equal(s_hi, o_hi), (alpha, V.order, n)
+
+
+def test_log_partition_blocks_leave_every_bit(s2):
+    """A grid taken in several blocks gives each beta the bits of its own
+    one-point grid, for both window sums."""
+    betas = np.concatenate([[0.0], default_beta_grid(points=299)])
+    for S in birkhoff_bounds(s2, V0, 14):  # 1,143 and 739 distinct sums
+        distinct = np.unique(S).size
+        assert betas.size > 3 * (max(S.size, _BLOCK_ENTRIES) // distinct)
+        whole = _log_partition(S, betas)
+        one_by_one = np.array([_log_partition(S, betas[i : i + 1])[0] for i in range(betas.size)])
+        assert np.array_equal(whole, one_by_one)
 
 
 def log_sum_exp(values):
