@@ -19,15 +19,12 @@ from .pressure import (
     BetaCReport,
     PressureCurve,
     bispecial_ladder,
-    bispecial_length_law,
     birkhoff_bounds,
     brute_bispecials,
     default_beta_grid,
     find_beta_c,
-    overlap_length,
     overlap_ratios,
     pressure_curve,
-    recurrence_gaps,
     verify_ladder,
 )
 from .recognition import (
@@ -39,7 +36,6 @@ from .recognition import (
     cut_points,
     delta,
     delta_after_power,
-    distance_to_subshift,
     maximal_prefix,
     maximal_prefix_after_power,
     power_prefix,
@@ -53,25 +49,21 @@ from .renorm import (
     fixed_point_U,
     renorm_after_power,
     renorm_power,
-    tribonacci_fixed_point_cases,
     verify_fixed_point,
 )
 from .sampling import random_certified_configuration, sample_configurations
 from .spectral import (
     GrowthDecomposition,
-    ergodic_integral,
     growth_decomposition,
     left_eigenvector,
     letter_frequencies,
     perron_root,
     tribonacci_cardan,
-    word_frequency,
 )
 from .substitution import (
     FixedPointStream,
     Substitution,
     check_recurrence,
-    is_kbonacci,
     kbonacci,
 )
 from .words import LanguageIndex, build_language, in_language

@@ -1,5 +1,6 @@
 """Pressure estimation over cylinder depths, the freezing transition,
-and the bispecial machinery behind it.
+and the bispecial ladder behind it: its rungs, their exhaustive check
+against the language, and the ratios of their lengths.
 
 The pressure P(beta) = sup over invariant measures of h - beta * integral(V)
 is bracketed at depth n by summing exp(-beta S) over all k^n windows,
@@ -30,8 +31,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .potentials import Potential
-from .spectral import growth_decomposition
-from .substitution import Substitution, occurrences
+from .substitution import Substitution
 
 PRESSURE_WORD_BUDGET = 10**7
 DEFAULT_TOL = 1e-3
@@ -43,8 +43,8 @@ _TILE_WIDTH = 512
 _BLOCK_ENTRIES = 2**16
 
 
-def default_beta_grid(points: int = 64, lo: float = 0.01, hi: float = 64.0) -> np.ndarray:
-    return np.geomspace(lo, hi, points)
+def default_beta_grid() -> np.ndarray:
+    return np.geomspace(0.01, 64.0, 64)
 
 
 # -- Birkhoff brackets over full-shift windows --------------------------------
@@ -292,72 +292,3 @@ def overlap_ratios(s: Substitution, n_max: int) -> np.ndarray:
         raise ValueError("ladder too shallow for ratio statistics")
     lengths = np.array([s.ladder_length(n) for n in range(n_max + 1)], dtype=float)
     return lengths[:-1] / lengths[1:]
-
-
-def overlap_length(u: str, v: str) -> int:
-    """Largest t with u[-t:] == v[:t] (proper suffix-prefix overlap)."""
-    for t in range(min(len(u), len(v)) - 1, 0, -1):
-        if u.endswith(v[:t]):
-            return t
-    return 0
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    """Max occurrence gaps per factor length inside a fixed-point window."""
-
-    window: int
-    max_gap: tuple[int, ...]         # indexed by length, entry 0 unused
-    gap_over_n: tuple[float, ...]
-    inconclusive: tuple[str, ...]    # words with fewer than two hits
-
-    @property
-    def max_ratio(self) -> float:
-        return max(self.gap_over_n[1:])
-
-
-def recurrence_gaps(s: Substitution, L_max: int, window: int) -> RecurrenceReport:
-    """Scan occurrence gaps of every factor of length <= L_max in omega."""
-    omega = s.fixed_prefix(window)
-    index = s.language(L_max)
-    max_gap = [0] * (L_max + 1)
-    pending: list[str] = []
-    for n in range(1, L_max + 1):
-        for w in sorted(index.words(n)):
-            hits = occurrences(omega, w)
-            if len(hits) < 2:
-                pending.append(w)
-                continue
-            max_gap[n] = max(max_gap[n], *(b - a for a, b in zip(hits, hits[1:])))
-    ratios = [0.0] + [max_gap[n] / n for n in range(1, L_max + 1)]
-    return RecurrenceReport(window, tuple(max_gap), tuple(ratios), tuple(pending))
-
-
-@dataclass(frozen=True)
-class LengthLawReport:
-    """Residuals of |b_n| against gamma_0 lambda^{n+1} / (lambda - 1)."""
-
-    lam: float
-    residuals: tuple[float, ...]
-    scaled: tuple[float, ...]   # residual / lambda^n
-
-    @property
-    def scaled_bounded(self) -> bool:
-        """Residual / lambda^n stays below its early maximum (plus slack):
-        the remainder grows strictly slower than lambda^n."""
-        head = max(abs(r) for r in self.scaled[:10])
-        tail = max(abs(r) for r in self.scaled[-10:])
-        return tail <= head + 1e-9
-
-
-def bispecial_length_law(s: Substitution, n_max: int = 40) -> LengthLawReport:
-    growth = growth_decomposition(s, max(n_max + 5, 45))
-    lam = growth.lam
-    residuals = []
-    scaled = []
-    for n in range(n_max + 1):
-        predicted = growth.gamma[0] * lam ** (n + 1) / (lam - 1.0)
-        r = s.ladder_length(n) - predicted
-        residuals.append(r)
-        scaled.append(r / lam**n)
-    return LengthLawReport(lam, tuple(residuals), tuple(scaled))

@@ -259,8 +259,8 @@ class AppendixReport:
         return self.all_unique and self.has_001 and self.lacks_000 and self.lacks_002
 
 
-def count_preimages(s: Substitution, w: str, cap: int = 4) -> int:
-    """Number of words v with s(v) = w, counted by segmentation (capped)."""
+def count_preimages(s: Substitution, w: str) -> int:
+    """Number of words v with s(v) = w, counted by segmentation (capped at 4)."""
     images = list(enumerate(s.images))
     counts = [0] * (len(w) + 1)
     counts[len(w)] = 1
@@ -269,7 +269,7 @@ def count_preimages(s: Substitution, w: str, cap: int = 4) -> int:
         for _, img in images:
             if w.startswith(img, i):
                 total += counts[i + len(img)]
-        counts[i] = min(total, cap)
+        counts[i] = min(total, 4)
     return counts[0]
 
 
@@ -297,9 +297,3 @@ def tribonacci_appendix_checks(max_length: int = 30) -> AppendixReport:
         lacks_000="000" not in three,
         lacks_002="002" not in three,
     )
-
-
-def distance_to_subshift(s: Substitution, x: Configuration) -> float:
-    """2^{-delta(x)}: the product-topology distance from x to the subshift."""
-    p = delta(s, x)
-    return 0.0 if p == INFINITE else 2.0 ** (-p)

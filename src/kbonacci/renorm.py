@@ -239,35 +239,6 @@ def _fixed_point_from(s: Substitution, w: str) -> float:
     return math.log1p(v[x0] / denom)
 
 
-def tribonacci_fixed_point_cases(s: Substitution, x: Configuration) -> float:
-    """The Tribonacci (k = 3) fixed point written out per first letter.
-
-    Same quantity as :func:`fixed_point_U`, with the eigenvector entries
-    (lambda, (lambda+1)/lambda, 1) spelled out case by case.
-    """
-    require_kbonacci(s)
-    if s.k != 3:
-        raise ValueError("three-case form is specific to k = 3")
-    if x.in_subshift:
-        return 0.0
-    lam, _ = _perron_pair(3)
-    w = maximal_prefix(s, x)
-    base = (
-        lam / (lam - 1.0)
-        + lam * w.count("0")
-        + (lam + 1.0) / lam * w.count("1")
-        + w.count("2")
-    )
-    x0 = w[0]
-    if x0 == "0":
-        vx = lam
-    elif x0 == "1":
-        vx = (lam + 1.0) / lam
-    else:
-        vx = 1.0
-    return math.log1p(vx / (base - vx))
-
-
 def verify_fixed_point(s: Substitution, samples: Sequence[Configuration]) -> float:
     """Max over the samples of |(RU)(x) - U(x)|, with RU summed over the
     break sweep of s(x): U(sigma^j s(x)) is read off its longest language

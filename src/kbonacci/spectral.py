@@ -1,4 +1,6 @@
-"""Perron data of the k-bonacci incidence matrix and ergodic averages.
+"""Perron data of the k-bonacci incidence matrix: the dominant root,
+the left eigenvector, the growth coefficients of the power lengths and
+the letter frequencies of the unique invariant measure.
 
 The dominant root lambda of X^k - sum_{j<k} X^j drives all growth rates;
 the left eigenvector is available in closed form and is normalized so
@@ -12,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .substitution import Substitution, occurrences, require_kbonacci
+from .substitution import Substitution, require_kbonacci
 
 ROOT_TOL = 1e-14
+# gamma_l is read off the exact |s^n(l)| at this n, where the remainder is negligible
+GROWTH_DEPTH = 60
 
 
 def _charpoly(k: int, x: float) -> float:
@@ -81,24 +85,21 @@ class GrowthDecomposition:
     remainders: np.ndarray            # remainders[n, l] = r_l(n)
     theta_hat: float                  # fitted decay rate of |r_l(n)|
 
-    def remainder_bound_ok(self) -> bool:
-        return self.theta_hat < self.lam
 
-
-def growth_decomposition(s: Substitution, n_max: int = 60) -> GrowthDecomposition:
-    """Estimate gamma_l from exact matrix-power lengths at n_max and fit the
-    remainder decay rate; no words are materialized.  k-bonacci only."""
+def growth_decomposition(s: Substitution) -> GrowthDecomposition:
+    """Estimate gamma_l from exact matrix-power lengths at GROWTH_DEPTH and
+    fit the remainder decay rate; no words are materialized.  k-bonacci only."""
     require_kbonacci(s)
     lam = perron_root(s.k)
-    lengths = [s.power_lengths(n) for n in range(n_max + 1)]
-    gamma = np.array([lengths[n_max][l] / lam**n_max for l in range(s.k)])
+    lengths = [s.power_lengths(n) for n in range(GROWTH_DEPTH + 1)]
+    gamma = np.array([lengths[GROWTH_DEPTH][l] / lam**GROWTH_DEPTH for l in range(s.k)])
     remainders = np.array(
-        [[lengths[n][l] - gamma[l] * lam**n for l in range(s.k)] for n in range(n_max + 1)]
+        [[lengths[n][l] - gamma[l] * lam**n for l in range(s.k)] for n in range(GROWTH_DEPTH + 1)]
     )
     # fit |r| ~ C theta^n on the mid-range where floating error is negligible
     theta_hat = 0.0
     ns, logs = [], []
-    for n in range(1, min(n_max, 30) + 1):
+    for n in range(1, 31):
         r = np.abs(remainders[n]).max()
         if r > 1e-9:
             ns.append(n)
@@ -117,37 +118,3 @@ def letter_frequencies(s: Substitution) -> np.ndarray:
     idx = int(np.argmax(eigvals.real))
     vec = np.abs(eigvecs[:, idx].real)
     return vec / vec.sum()
-
-
-def empirical_letter_frequencies(s: Substitution, window: int) -> np.ndarray:
-    omega = s.fixed_prefix(window)
-    return np.array([omega.count(str(a)) / window for a in range(s.k)])
-
-
-def word_frequency(s: Substitution, w: str, window: int) -> float:
-    """Sliding-window frequency of w in the fixed-point prefix of length window."""
-    positions = max(window - len(w) + 1, 1)
-    return len(occurrences(s.fixed_prefix(window), w)) / positions
-
-
-def ergodic_integral(s: Substitution, g, window: int) -> tuple[float, float]:
-    """Integral of a locally constant g against the unique invariant measure.
-
-    Sums g(w) times the empirical frequency of w over all language words
-    of the order of g; the error bar is the spread between the half- and
-    full-window estimates.
-    """
-    order = g.order
-    if window < 4 * order:
-        raise ValueError("window too small for the order of g")
-
-    def estimate(w_len: int) -> float:
-        index = s.language(order)
-        return math.fsum(
-            g(w) * word_frequency(s, w, w_len) for w in index.words(order)
-        )
-
-    full = estimate(window)
-    half = estimate(window // 2)
-    return full, abs(full - half)
-

@@ -322,11 +322,6 @@ def occurrence_starts(text: str, word: str) -> np.ndarray:
     return starts
 
 
-def occurrences(text: str, word: str) -> list[int]:
-    """:func:`occurrence_starts` as a list of Python ints."""
-    return occurrence_starts(text, word).tolist()
-
-
 def kbonacci(k: int, length_budget: int = DEFAULT_LENGTH_BUDGET) -> Substitution:
     """The k-bonacci substitution: a -> 0(a+1) for a < k-1 and (k-1) -> 0."""
     if k < 2:
@@ -340,12 +335,8 @@ def _kbonacci_images(k: int) -> tuple[str, ...]:
     return tuple(f"0{a + 1}" for a in range(k - 1)) + ("0",)
 
 
-def is_kbonacci(s: Substitution) -> bool:
-    return s.is_kbonacci
-
-
 def require_kbonacci(s: Substitution) -> None:
-    if not is_kbonacci(s):
+    if not s.is_kbonacci:
         raise ValueError("this operation is specific to k-bonacci substitutions")
 
 

@@ -9,18 +9,15 @@ from kbonacci import (
     Potential,
     Substitution,
     bispecial_ladder,
-    bispecial_length_law,
     birkhoff_bounds,
     brute_bispecials,
-    default_beta_grid,
     find_beta_c,
+    growth_decomposition,
     in_language,
     kbonacci,
-    overlap_length,
     overlap_ratios,
     perron_root,
     pressure_curve,
-    recurrence_gaps,
     verify_ladder,
 )
 from kbonacci.errors import BudgetExceededError
@@ -192,7 +189,7 @@ def test_birkhoff_bounds_equal_the_table_oracle(s, n_max):
 def test_log_partition_blocks_leave_every_bit(s2):
     """A grid taken in several blocks gives each beta the bits of its own
     one-point grid, for both window sums."""
-    betas = np.concatenate([[0.0], default_beta_grid(points=299)])
+    betas = np.concatenate([[0.0], np.geomspace(0.01, 64.0, 299)])
     for S in birkhoff_bounds(s2, V0, 14):  # 1,143 and 739 distinct sums
         distinct = np.unique(S).size
         assert betas.size > 3 * (max(S.size, _BLOCK_ENTRIES) // distinct)
@@ -246,7 +243,7 @@ def test_budget_guard(s3):
 
 
 def test_curve_shape(s2):
-    curve = pressure_curve(s2, V0, 10, default_beta_grid(points=32))
+    curve = pressure_curve(s2, V0, 10, np.geomspace(0.01, 64.0, 32))
     assert curve.is_monotone
     assert curve.is_convex
     assert curve.floor == pytest.approx(math.log(11) / 10)
@@ -254,7 +251,7 @@ def test_curve_shape(s2):
 
 
 def test_upper_estimate_tightens_with_depth(s2):
-    betas = default_beta_grid(points=16)
+    betas = np.geomspace(0.01, 64.0, 16)
     highs = [pressure_curve(s2, V0, n, betas).highs for n in (8, 10, 12)]
     for shallow, deep in zip(highs, highs[1:]):
         assert all(d <= s + 1e-12 for s, d in zip(shallow, deep))
@@ -316,6 +313,14 @@ def test_overlap_ratios(s3, s2):
     assert abs(r2[30] - 2 / (1 + math.sqrt(5))) < 1e-6
 
 
+def overlap_length(u: str, v: str) -> int:
+    """Largest t with u[-t:] == v[:t] (proper suffix-prefix overlap)."""
+    for t in range(min(len(u), len(v)) - 1, 0, -1):
+        if u.endswith(v[:t]):
+            return t
+    return 0
+
+
 def test_rung_overlaps_are_rung_lengths(s3):
     lad = bispecial_ladder(s3, s3.ladder_length(9))
     lengths = {len(b) for b in lad}
@@ -326,21 +331,12 @@ def test_rung_overlaps_are_rung_lengths(s3):
             assert t / min(len(lad[i]), len(lad[j])) < 1.0
 
 
-def test_recurrence_gaps(s3):
-    report = recurrence_gaps(s3, 12, 200_000)
-    assert report.inconclusive == ()
-    assert report.max_ratio <= 30
-    assert report.max_gap[1] >= 1
-
-
-def test_recurrence_window_stability(s3):
-    small = recurrence_gaps(s3, 8, 100_000)
-    big = recurrence_gaps(s3, 8, 200_000)
-    assert small.max_ratio == big.max_ratio
-
-
 def test_length_law(s3, s2):
+    """|b_n| - gamma_0 lambda^{n+1} / (lambda - 1), over lambda^n, stays
+    below its early maximum: the remainder grows strictly slower than lambda^n."""
     for s in (s3, s2):
-        report = bispecial_length_law(s, 40)
-        assert report.scaled_bounded
-        assert abs(report.scaled[-1]) < 1e-6
+        g = growth_decomposition(s)
+        residuals = [s.ladder_length(n) - g.gamma[0] * g.lam ** (n + 1) / (g.lam - 1.0) for n in range(41)]
+        scaled = [r / g.lam**n for n, r in enumerate(residuals)]
+        assert max(abs(r) for r in scaled[-10:]) <= max(abs(r) for r in scaled[:10]) + 1e-9
+        assert abs(scaled[-1]) < 1e-6

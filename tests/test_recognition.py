@@ -13,7 +13,6 @@ from kbonacci import (
     cut_points,
     delta,
     delta_after_power,
-    distance_to_subshift,
     kbonacci,
     maximal_prefix,
     maximal_prefix_after_power,
@@ -50,11 +49,6 @@ def test_delta_basic(s3):
 def test_delta_requires_certified_break(s3):
     with pytest.raises(UncertifiedConfigurationError):
         delta(s3, Configuration("0102", "const", "0"))  # 01020 etc. all in language
-
-
-def test_distance(s3):
-    assert distance_to_subshift(s3, ZEROS) == 0.25
-    assert distance_to_subshift(s3, Configuration("", "orbit", 3)) == 0.0
 
 
 def test_maximal_prefix_after_power(s3):

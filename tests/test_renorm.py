@@ -17,10 +17,10 @@ from kbonacci import (
     kbonacci,
     letter_frequencies,
     maximal_prefix,
+    perron_root,
     power_prefix,
     renorm_after_power,
     renorm_power,
-    tribonacci_fixed_point_cases,
     verify_fixed_point,
 )
 from kbonacci import recognition
@@ -64,6 +64,19 @@ def test_eval_potential(s3):
 
 def test_brute_force_first_power_value(s3):
     assert renorm_power(s3, V0, ZEROS, 1, "brute-force") == pytest.approx(0.45, abs=1e-15)
+
+
+def tribonacci_fixed_point_cases(s, x):
+    """The Tribonacci (k = 3) fixed point written out per first letter: the
+    quantity of fixed_point_U, with the eigenvector entries
+    (lambda, (lambda+1)/lambda, 1) spelled out case by case."""
+    if x.in_subshift:
+        return 0.0
+    lam = perron_root(3)
+    w = maximal_prefix(s, x)
+    base = lam / (lam - 1.0) + lam * w.count("0") + (lam + 1.0) / lam * w.count("1") + w.count("2")
+    vx = {"0": lam, "1": (lam + 1.0) / lam, "2": 1.0}[w[0]]
+    return math.log1p(vx / (base - vx))
 
 
 def test_fixed_point_value(s3):

@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from kbonacci import (
-    CylinderFunction,
-    ergodic_integral,
     growth_decomposition,
     left_eigenvector,
     letter_frequencies,
     perron_root,
     tribonacci_cardan,
-    word_frequency,
 )
 from kbonacci.cli import main
-from kbonacci.pressure import bispecial_length_law
-from kbonacci.spectral import empirical_letter_frequencies
 
 
 def test_perron_root_fibonacci(s2):
@@ -60,7 +55,6 @@ def test_growth_lengths(s3):
     for n in range(20, 35):
         assert g.lengths[n][0] == pytest.approx(g.gamma[0] * g.lam**n, rel=1e-7)
     assert g.theta_hat < g.lam
-    assert g.remainder_bound_ok()
 
 
 def test_gamma_proportional_to_eigenvector(s3):
@@ -73,32 +67,18 @@ def test_gamma_proportional_to_eigenvector(s3):
 def test_geometric_tail(s3):
     # sum_{l<10} |s^l(0)| against gamma_0 lambda^10 / (lambda - 1)
     assert s3.ladder_length(9) == sum(len(s3.power_image(l, 0)) for l in range(10))
-    assert abs(bispecial_length_law(s3, 40).residuals[9]) < 10
+    g = growth_decomposition(s3)
+    assert abs(s3.ladder_length(9) - g.gamma[0] * g.lam**10 / (g.lam - 1.0)) < 10
 
 
 def test_letter_frequencies(s3):
     freq = letter_frequencies(s3)
-    emp = empirical_letter_frequencies(s3, 200_000)
+    omega = s3.fixed_prefix(200_000)
+    emp = np.array([omega.count(str(a)) / len(omega) for a in range(3)])
     assert np.abs(freq - emp).max() < 1e-4
     assert freq.sum() == pytest.approx(1.0)
     lam = perron_root(3)
     assert freq[0] == pytest.approx(1 / lam, abs=1e-10)
-
-
-def test_word_frequency(s3):
-    f0 = word_frequency(s3, "0", 100_000)
-    assert f0 == pytest.approx(1 / perron_root(3), abs=1e-4)
-
-
-def test_ergodic_integral_constant(s3):
-    value, err = ergodic_integral(s3, CylinderFunction.constant(1.0), 50_000)
-    assert value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_ergodic_integral_indicator(s3):
-    g = CylinderFunction.indicator("0", 1.0, base=1.0)
-    value, err = ergodic_integral(s3, g, 100_000)
-    assert value == pytest.approx(1.0 + 1 / perron_root(3), abs=1e-3)
 
 
 def test_spectral_data_bundle(capsys):
