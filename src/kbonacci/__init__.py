@@ -47,7 +47,6 @@ from .renorm import (
     convergence_study,
     eval_potential,
     fixed_point_U,
-    renorm_after_power,
     renorm_power,
     verify_fixed_point,
 )

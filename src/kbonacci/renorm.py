@@ -63,7 +63,11 @@ def renorm_power(
     n: int,
     mode: str = "closed-form",
 ) -> float:
-    """(R^n V)(x) = sum over j < |s^n(x_0)| of V(sigma^j s^n(x))."""
+    """(R^n V)(x) = sum over j < |s^n(x_0)| of V(sigma^j s^n(x)).
+    The closed form, from w = maximal_prefix(s, x), needs a k-bonacci s,
+    n >= k and V.order <= s.ladder_length(n - 1) + 1 (at least 2^k at
+    n = k), which keeps every window read inside
+    maximal_prefix_after_power(s, w, n); else it raises ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     V.validate_for(s)
@@ -72,22 +76,14 @@ def renorm_power(
     if x.in_subshift:
         return 0.0
     if mode == "closed-form":
-        return renorm_after_power(s, V, maximal_prefix(s, x), n)
+        w = maximal_prefix(s, x)
+        require_kbonacci(s)
+        if n < s.k:
+            raise ValueError(f"closed-form mode requires n >= k = {s.k}")
+        return _closed_form(s, V, w, n, _constant_numerator(s, V))
     return _renorm_power_brute(
         s, x, n, lambda word, j, dj: V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha, V.order
     )
-
-
-def renorm_after_power(s: Substitution, V: Potential, w: str, n: int) -> float:
-    """(R^n V)(x) in closed form from w = maximal_prefix(s, x), x off the subshift.
-    Domain: k-bonacci, n >= k and V.order <= s.ladder_length(n - 1) + 1
-    (at least 2^k at n = k), which keeps every window read inside
-    maximal_prefix_after_power(s, w, n); a larger order raises ValueError."""
-    V.validate_for(s)
-    require_kbonacci(s)
-    if n < s.k:
-        raise ValueError(f"closed-form mode requires n >= k = {s.k}")
-    return _closed_form(s, V, w, n, _constant_numerator(s, V))
 
 
 def _constant_numerator(s: Substitution, V: Potential) -> float | None:
@@ -96,8 +92,8 @@ def _constant_numerator(s: Substitution, V: Potential) -> float | None:
 
 
 def _closed_form(s: Substitution, V: Potential, w: str, n: int, numer: float | None) -> float:
-    """renorm_after_power for a V validated on a k-bonacci s and n >= k,
-    with numer = _constant_numerator(s, V)."""
+    """The closed form of renorm_power, for a V validated on a k-bonacci s
+    and n >= k, with numer = _constant_numerator(s, V)."""
     if V.order > s.ladder_length(n - 1) + 1:
         raise ValueError(f"potential order {V.order} exceeds s.ladder_length({n - 1}) + 1")
     big_delta = delta_after_power(s, w, n)
@@ -173,7 +169,7 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
 
 
 def _renorm_power_brute(
-    s: Substitution, x: Configuration, n: int, term: Callable[[str, int, int], float], reach: int = 0
+    s: Substitution, x: Configuration, n: int, term: Callable[[str, int, int], float], reach: int
 ) -> float:
     """Sum of term(word, j, delta_j) over the shifts j < |s^n(x_0)|, where
     delta_j = delta(sigma^j s^n(x)) and word is a prefix of s^n(x) that
@@ -248,7 +244,7 @@ def verify_fixed_point(s: Substitution, samples: Sequence[Configuration]) -> flo
     for x in samples:
         if x.in_subshift:
             continue
-        left = _renorm_power_brute(s, x, 1, lambda word, j, dj: _fixed_point_from(s, word[j : j + dj]))
+        left = _renorm_power_brute(s, x, 1, lambda word, j, dj: _fixed_point_from(s, word[j : j + dj]), 0)
         worst = max(worst, abs(left - fixed_point_U(s, x)))
     return worst
 

@@ -38,12 +38,12 @@ def _as_letter(a) -> int:
 class Substitution:
     """A non-erasing morphism of the free monoid over {0, ..., k-1}.
 
-    Power images s^n(a) are memoized per (n, letter).  The total number of
-    cached letters is bounded by ``length_budget``; exceeding it raises
-    :class:`BudgetExceededError` instead of silently eating memory
-    (image lengths grow like lambda^n).  The instance also owns the table
-    of exact lengths |s^n(a)|, one growable stream of the fixed point and
-    the two-block words that describe the language.
+    Power images s^n(a) are built by :meth:`power_image` alone, memoized
+    per (n, letter); fixed-point prefixes and two-block words are read off
+    them.  The total number of cached letters is bounded by
+    ``length_budget``; exceeding it raises :class:`BudgetExceededError`
+    instead of silently eating memory (image lengths grow like lambda^n).
+    The instance also owns the table of exact lengths |s^n(a)|.
     """
 
     def __init__(self, images: Sequence[str], length_budget: int = DEFAULT_LENGTH_BUDGET):
@@ -67,7 +67,6 @@ class Substitution:
         self._shortest = [1]  # _shortest[m] = min_a |s^m(a)|, nondecreasing in m
         self._stream: FixedPointStream | None = None
         self._pairs: frozenset[str] | None = None
-        self._two_blocks: dict[int, tuple[str, ...]] = {}  # block level m -> words
         self._level_texts: dict[int, str] = {}  # block level m -> its words joined by "|"
         self._texts: dict[int, str] = {}  # word length n -> the text of its block level
         self.is_kbonacci = k >= 2 and images == _kbonacci_images(k)
@@ -81,7 +80,11 @@ class Substitution:
         return w.translate(self._table)
 
     def power_image(self, n: int, a) -> str:
-        """s^n(a), with s^0 the identity.  Cached."""
+        """s^n(a), with s^0 the identity.  Cached.
+
+        s^n(a) is s^{n-m}(a) translated through the images s^m(c),
+        m = n // 2, which joins whole images.  Its pieces are cached first,
+        then the budget is checked before the join."""
         a = _as_letter(a)
         if a >= self.k:
             raise ValueError(f"letter {a} not in alphabet of size {self.k}")
@@ -89,15 +92,22 @@ class Substitution:
             raise ValueError("power must be nonnegative")
         if n == 0:
             return str(a)
-        cached = self._power_cache.get((n, a))
-        if cached is not None:
-            return cached
-        word = self.power_image(n - 1, a).translate(self._table)
-        if self._cached_letters + len(word) > self.length_budget:
+        word = self._power_cache.get((n, a))
+        if word is not None:
+            return word
+        if n == 1:
+            head, table = str(a), self._table
+        else:
+            m = n // 2
+            head = self.power_image(n - m, a)
+            table = {ord(str(c)): self.power_image(m, c) for c in range(self.k)}
+        length = self.power_lengths(n)[a]
+        if self._cached_letters + length > self.length_budget:
             raise BudgetExceededError(
                 f"power-image cache would exceed {self.length_budget} letters at s^{n}({a})"
             )
-        self._cached_letters += len(word)
+        word = head.translate(table)
+        self._cached_letters += length
         self._power_cache[(n, a)] = word
         return word
 
@@ -211,26 +221,21 @@ class Substitution:
 
         Every language word of length <= n spans at most two m-th blocks of
         some s^N(c), so the language words of length <= n are exactly the
-        factors of these words.  Cached per level m.
+        factors of these words.  Read back out of ``language_text(n)``.
         """
-        pairs = self.pair_language()
-        m = self.block_level(n)
-        words = self._two_blocks.get(m)
-        if words is None:
-            words = tuple(self.power_image(m, p[0]) + self.power_image(m, p[1]) for p in sorted(pairs))
-            self._two_blocks[m] = words
-        return words
+        return tuple(self.language_text(n).split("|"))
 
     def language_text(self, n: int) -> str:
-        """``"|".join(self.two_blocks(n))``: a word of length <= n is in the
-        language exactly when it occurs in this text, "|" being no letter.
-        One string per block level, looked up by n."""
+        """The two-block words of ``two_blocks(n)`` joined by "|": a word of
+        length <= n is in the language exactly when it occurs in this text,
+        "|" being no letter.  One string per block level, looked up by n."""
         text = self._texts.get(n)
         if text is None:
-            words = self.two_blocks(n)  # raises on a non-primitive s before block_level runs
+            pairs = sorted(self.pair_language())  # raises on a non-primitive s before block_level runs
             m = self.block_level(n)
             text = self._level_texts.get(m)
             if text is None:
+                words = (self.power_image(m, a) + self.power_image(m, b) for a, b in pairs)
                 text = self._level_texts[m] = "|".join(words)
             self._texts[n] = text
         return text
@@ -356,43 +361,23 @@ class FixedPointStream:
 
     The fixed point starts with s^n(seed) for every n, the seed being the
     letter whose image starts with itself.  A request for `length` letters
-    builds s^n(seed), n the least level with |s^n(seed)| >= length, as
-    s^m(s^{n-m}(seed)) with m = n // 2: one str.translate of the short word
-    s^{n-m}(seed) through a table of the blocks s^m(a) of every letter a,
-    which joins whole blocks and reads no letter of the prefix.  The table
-    grows a level at a time the same way, s^{m+1}(a) being s(a) translated
-    through the level-m table, so the stream holds the prefix and blocks
-    of about its square root.  A prefix and blocks that would hold more
-    than ``length_budget`` letters, and more than four times the requested
-    length, raise BudgetExceededError instead.
+    is a slice of ``subst.power_image(n, seed)``, n the least level, at or
+    above the last one served, with |s^n(seed)| >= length.  The words are
+    held, and charged to ``length_budget``, in the substitution's
+    power-image cache; the stream holds only the level.
     """
 
     def __init__(self, subst: Substitution):
         self.subst = subst
         self._seed = subst.fixed_point_seed()
-        self._n = 1  # the prefix is s^n(seed), the blocks s^{n // 2}(a)
-        self._prefix = subst.images[self._seed]
-        self._blocks = {ord(str(a)): str(a) for a in range(subst.k)}  # letter code -> block
+        self._n = 0  # the last level served
 
     def prefix(self, length: int) -> str:
         if length < 0:
             raise ValueError("length must be nonnegative")
-        s, seed = self.subst, self._seed
-        if length > s.length_budget:
-            raise BudgetExceededError(
-                f"requested fixed-point prefix of {length} letters exceeds budget"
-            )
-        if len(self._prefix) < length:
-            n = self._n + 1
-            while s.power_lengths(n)[seed] < length:
-                n += 1
-            m = n // 2
-            held = s.power_lengths(n)[seed] + sum(s.power_lengths(m))
-            if held > 4 * length and held > s.length_budget:
-                raise BudgetExceededError(f"fixed-point prefix and blocks of {held} letters exceed budget")
-            blocks = self._blocks
-            for _ in range(self._n // 2, m):
-                blocks = {ord(str(a)): w.translate(blocks) for a, w in enumerate(s.images)}
-            head = (s.images[seed] if n % 2 else str(seed)).translate(blocks)  # s^{n-m}(seed)
-            self._n, self._prefix, self._blocks = n, head.translate(blocks), blocks
-        return self._prefix[:length]
+        s, seed, n = self.subst, self._seed, self._n
+        while s.power_lengths(n)[seed] < length:
+            n += 1
+        word = s.power_image(n, seed)
+        self._n = n
+        return word[:length]

@@ -9,6 +9,7 @@ from kbonacci import (
     Configuration,
     CylinderFunction,
     Potential,
+    Substitution,
     birkhoff_bounds,
     brute_delta,
     convergence_study,
@@ -19,7 +20,6 @@ from kbonacci import (
     maximal_prefix,
     perron_root,
     power_prefix,
-    renorm_after_power,
     renorm_power,
     verify_fixed_point,
 )
@@ -51,8 +51,6 @@ def test_entry_points_validate_the_potential(s3):
     for mode in ("closed-form", "brute-force"):
         with pytest.raises(ValueError, match="h must vanish"):
             renorm_power(s3, bad, ZEROS, 3, mode=mode)
-    with pytest.raises(ValueError, match="h must vanish"):
-        renorm_after_power(s3, bad, "00", 3)
     birkhoff_bounds(s3, V0, 4)
     renorm_power(s3, V0, ZEROS, 3)
 
@@ -165,10 +163,12 @@ def test_configurations_sharing_a_maximal_prefix_share_the_closed_form(k, order,
     w = data.draw(st.sampled_from(prefixes))
     blocked = [a for a in letters if w + a not in index.words(len(w) + 1)]
     n = data.draw(st.integers(min_value=k, max_value=k + 2))
-    closed = renorm_after_power(s, V, w, n)
+    configurations = []
     for _ in range(2):
         head = w + data.draw(st.sampled_from(blocked)) + data.draw(st.text(letters, max_size=3))
-        x = Configuration(head, "const", data.draw(st.sampled_from(letters)))
+        configurations.append(Configuration(head, "const", data.draw(st.sampled_from(letters))))
+    closed = renorm_power(s, V, configurations[0], n, mode="closed-form")
+    for x in configurations:
         assert maximal_prefix(s, x) == w
         assert abs(renorm_power(s, V, x, n, mode="brute-force") - closed) < 1e-12
 
@@ -180,10 +180,16 @@ def test_closed_form_order_domain(s2):
         return Potential(1.0, CylinderFunction.indicator("0" * order, 1.0, base=1.0), CylinderFunction.constant(0.0))
 
     bound = s2.ladder_length(1) + 1
-    assert renorm_after_power(s2, of_order(bound), "00", 2) == pytest.approx(
+    assert maximal_prefix(s2, ZEROS) == "00"
+    assert renorm_power(s2, of_order(bound), ZEROS, 2, mode="closed-form") == pytest.approx(
         renorm_power(s2, of_order(bound), ZEROS, 2, mode="brute-force"), abs=1e-12)
     with pytest.raises(ValueError, match="order"):
-        renorm_after_power(s2, of_order(bound + 1), "00", 2)
+        renorm_power(s2, of_order(bound + 1), ZEROS, 2, mode="closed-form")
+    # and below n = k, or off the k-bonacci substitutions, there is no closed form
+    with pytest.raises(ValueError, match="n >= k"):
+        renorm_power(s2, V0, ZEROS, 1, mode="closed-form")
+    with pytest.raises(ValueError, match="k-bonacci"):
+        renorm_power(Substitution(("01", "10")), V0, ZEROS, 2, mode="closed-form")
 
 
 def test_iterates_converge_to_fixed_point(s3):
@@ -211,13 +217,12 @@ def test_convergence_study_rows_are_the_single_level_entry_points(k, alpha, seed
     V = Potential.v0(alpha)
     x = sample_configurations(s, 1, seed)[0]
     study = convergence_study(s, V, x, n_max=20)
-    w = maximal_prefix(s, x)
     assert study.rows[0] == (0, eval_potential(s, V, x), "brute-force")
     for n, value, method in study.rows[1:]:
         if n < k:
             assert (value, method) == (renorm_power(s, V, x, n, "brute-force"), "brute-force")
         else:
-            assert (value, method) == (renorm_after_power(s, V, w, n), "closed-form")
+            assert (value, method) == (renorm_power(s, V, x, n, "closed-form"), "closed-form")
 
 
 def test_nonconstant_numerator_limit(s3):

@@ -54,11 +54,29 @@ def test_budget_guard():
         s.power_image(40, 0)
     with pytest.raises(BudgetExceededError):
         s.fixed_prefix(101)
-    # The budget counts the blocks a prefix is joined from: s^2(0) would be
-    # joined from the level-1 blocks, 3002 + 3002 letters for a 500-letter prefix.
+    # A 500-letter prefix is a slice of s^2(0), 3002 letters, and the budget
+    # counts the level-1 images it is joined from as well: 3002 + 3002 letters.
     s = Substitution(("01", "1" * 3000), length_budget=5000)
     with pytest.raises(BudgetExceededError):
         s.fixed_prefix(500)
+
+
+def test_budget_is_checked_before_the_image_is_joined(time_limit):
+    # s^60(0) has 2.5e12 letters: only the level-30 pieces are built first
+    s = kbonacci(2)
+    with time_limit(0.5):
+        with pytest.raises(BudgetExceededError):
+            s.power_image(60, 0)
+    assert s._cached_letters == sum(map(len, s._power_cache.values()))
+
+
+def test_fixed_prefix_letters_count_against_the_budget():
+    s = kbonacci(2, length_budget=200)
+    s.fixed_prefix(144)  # s^10(0), held in the cache with the pieces it is joined from
+    assert s._cached_letters == sum(map(len, s._power_cache.values())) >= 144
+    with pytest.raises(BudgetExceededError):
+        s.power_image(7, 1)  # 21 letters more than the 181 held
+    assert len(kbonacci(2, length_budget=200).power_image(7, 1)) == 21
 
 
 def test_text_roundtrip(s3):
@@ -155,6 +173,21 @@ def applied_prefix(s, length):
     while len(buf) < length:
         buf = s.apply(buf)
     return buf[:length]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(APPLY_SUBSTITUTIONS), st.data())
+def test_power_image_matches_repeated_apply(images, data):
+    # every request order fills the cache differently; the words and the
+    # letter count must not depend on it
+    s = Substitution(images)
+    requests = st.tuples(st.integers(min_value=0, max_value=16), st.integers(min_value=0, max_value=s.k - 1))
+    for n, a in data.draw(st.lists(requests, min_size=1, max_size=12)):
+        word = str(a)
+        for _ in range(n):
+            word = s.apply(word)
+        assert s.power_image(n, a) == word
+        assert s._cached_letters == sum(map(len, s._power_cache.values()))
 
 
 # ("1", "01") is the one without a seed letter, an a whose image starts with a.
