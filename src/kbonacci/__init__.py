@@ -37,7 +37,6 @@ from .recognition import (
     delta,
     delta_after_power,
     maximal_prefix,
-    maximal_prefix_after_power,
     power_prefix,
     tribonacci_appendix_checks,
     verify_recognizability,

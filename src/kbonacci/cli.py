@@ -37,19 +37,13 @@ EXIT_BUDGET = 3
 MAX_BETA_GRID_POINTS = 10**6
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 class CsvWriter:
     def __init__(self, config_line: str):
         self.buffer = io.StringIO()
         self.buffer.write(f"# {config_line}\n")
 
     def row(self, *cells):
-        # _fmt inlined: np.float64 is a float, so it takes the same branch
+        # np.float64 is a float, so it is formatted as one
         self.buffer.write(",".join([f"{c:.12g}" if isinstance(c, float) else str(c) for c in cells]) + "\n")
 
     def dump(self, out_path: str | None):
@@ -204,13 +198,13 @@ def cmd_pressure(args, s: Substitution, w: CsvWriter) -> int:
         w.row(s.k, args.alpha, args.depth, beta, lo, hi)
     if report.crossed:
         w.buffer.write(
-            f"# beta_c={_fmt(report.beta_c)} bracket={_fmt(report.bracket[0])}:"
-            f"{_fmt(report.bracket[1])} statistic={report.statistic} tol={_fmt(report.tol)}\n"
+            f"# beta_c={report.beta_c:.12g} bracket={report.bracket[0]:.12g}:"
+            f"{report.bracket[1]:.12g} statistic={report.statistic} tol={report.tol:.12g}\n"
         )
     else:
-        w.buffer.write(f"# no crossing at this depth (statistic={report.statistic} tol={_fmt(report.tol)})\n")
+        w.buffer.write(f"# no crossing at this depth (statistic={report.statistic} tol={report.tol:.12g})\n")
     w.buffer.write(
-        f"# floor={_fmt(curve.floor)} convex={int(curve.is_convex)} monotone={int(curve.is_monotone)}\n"
+        f"# floor={curve.floor:.12g} convex={int(curve.is_convex)} monotone={int(curve.is_monotone)}\n"
     )
     return EXIT_OK
 

@@ -281,7 +281,7 @@ def brute_bispecials(s: Substitution, max_length: int) -> set[str]:
     return found
 
 
-def verify_ladder(s: Substitution, max_length: int = 200) -> bool:
+def verify_ladder(s: Substitution, max_length: int) -> bool:
     """Exhaustive check: bispecials up to max_length are exactly the rungs."""
     return brute_bispecials(s, max_length) == set(bispecial_ladder(s, max_length))
 

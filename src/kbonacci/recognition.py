@@ -5,6 +5,7 @@ fixed point, and recognizability scans.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,21 +82,15 @@ class Configuration:
 
 
 def power_prefix(s: Substitution, x: Configuration, n: int, length: int) -> str:
-    """Prefix of s^n(x) of at least `length` letters."""
+    """Prefix of s^n(x) of at least `length` letters: s.apply_power over the
+    fewest leading letters of x, at least one, whose images reach `length`.
+    No image is shorter than min(s.power_lengths(n)): that bounds the read."""
     if length > s.length_budget:
         raise BudgetExceededError(f"materializing {length} letters exceeds budget")
     lengths = s.power_lengths(n)
-    probe = x.prefix(s, 64)
-    while sum(lengths[int(c)] for c in probe) < length and len(probe) < length:
-        probe = x.prefix(s, 2 * len(probe))
-    out = []
-    acc = 0
-    for c in probe:
-        out.append(s.power_image(n, int(c)))
-        acc += lengths[int(c)]
-        if acc >= length:
-            break
-    return "".join(out)
+    letters = x.prefix(s, max(1, -(-length // min(lengths))))
+    ends = itertools.accumulate(lengths[int(c)] for c in letters)
+    return s.apply_power(n, letters[: next(i for i, end in enumerate(ends, 1) if end >= length)])
 
 
 def delta(s: Substitution, x: Configuration) -> int | float:
@@ -161,17 +156,6 @@ def maximal_prefix(s: Substitution, x: Configuration) -> str:
     if x.in_subshift:
         raise ValueError("operation requires a configuration outside the subshift")
     return x.head[: brute_delta(s, x.head)]
-
-
-def maximal_prefix_after_power(s: Substitution, w: str, n: int) -> str:
-    """Longest language prefix of s^n(x), given the longest language prefix
-    w = maximal_prefix(s, x) of x: s^n(w) s^{n-1}(0) ... s(0) 0."""
-    require_kbonacci(s)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    parts = [s.apply_power(n, w)]
-    parts.extend(s.power_image(l, 0) for l in range(n - 1, -1, -1))
-    return "".join(parts)
 
 
 def delta_after_power(s: Substitution, w: str, n: int) -> int:
@@ -273,7 +257,7 @@ def count_preimages(s: Substitution, w: str) -> int:
     return counts[0]
 
 
-def tribonacci_appendix_checks(max_length: int = 30) -> AppendixReport:
+def tribonacci_appendix_checks(max_length: int) -> AppendixReport:
     """Exhaustive Tribonacci checks: unique preimages for words starting
     with 0 and ending with 1 or 2, and the three-letter 00-words."""
     from .substitution import kbonacci

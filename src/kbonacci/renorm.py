@@ -29,7 +29,6 @@ from .recognition import (
     delta,
     delta_after_power,
     maximal_prefix,
-    maximal_prefix_after_power,
     power_prefix,
 )
 from .spectral import left_eigenvector, perron_root
@@ -66,8 +65,8 @@ def renorm_power(
     """(R^n V)(x) = sum over j < |s^n(x_0)| of V(sigma^j s^n(x)).
     The closed form, from w = maximal_prefix(s, x), needs a k-bonacci s,
     n >= k and V.order <= s.ladder_length(n - 1) + 1 (at least 2^k at
-    n = k), which keeps every window read inside
-    maximal_prefix_after_power(s, w, n); else it raises ValueError."""
+    n = k), which keeps every window read inside the longest language
+    prefix of s^n(x); else it raises ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     V.validate_for(s)
@@ -80,7 +79,7 @@ def renorm_power(
         require_kbonacci(s)
         if n < s.k:
             raise ValueError(f"closed-form mode requires n >= k = {s.k}")
-        return _closed_form(s, V, w, n, _constant_numerator(s, V))
+        return _closed_form(s, V, x, w, n, _constant_numerator(s, V))
     return _renorm_power_brute(
         s, x, n, lambda word, j, dj: V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha, V.order
     )
@@ -91,16 +90,16 @@ def _constant_numerator(s: Substitution, V: Potential) -> float | None:
     return V.numerator_range("", s.k)[0] if V.is_locally_trivial else None
 
 
-def _closed_form(s: Substitution, V: Potential, w: str, n: int, numer: float | None) -> float:
-    """The closed form of renorm_power, for a V validated on a k-bonacci s
-    and n >= k, with numer = _constant_numerator(s, V)."""
+def _closed_form(s: Substitution, V: Potential, x: Configuration, w: str, n: int, numer: float | None) -> float:
+    """The closed form of renorm_power, for a V validated on a k-bonacci s,
+    n >= k, w = maximal_prefix(s, x) and numer = _constant_numerator(s, V)."""
     if V.order > s.ladder_length(n - 1) + 1:
         raise ValueError(f"potential order {V.order} exceeds s.ladder_length({n - 1}) + 1")
     big_delta = delta_after_power(s, w, n)
     block = s.power_lengths(n)[int(w[0])]
     if numer is not None:
         return numer * _inverse_power_sum(V.alpha, big_delta - block + 1, big_delta)
-    word = maximal_prefix_after_power(s, w, n)[: block + V.order - 1]
+    word = power_prefix(s, x, n, block + V.order - 1)
     arr = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
     code = np.zeros(block, dtype=np.int64)
     for t in range(V.order):
@@ -269,7 +268,7 @@ class ConvergenceStudy:
 DIVERGENCE_THRESHOLD = 1e6
 
 
-def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: int = 25) -> ConvergenceStudy:
+def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: int) -> ConvergenceStudy:
     """Iterate the operator and classify the tail of R^n V(x).
 
     n_max must be at least k, or the verdict would be read off brute-force
@@ -297,7 +296,7 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
         elif method == "brute-force":
             value = renorm_power(s, V, x, n, mode=method)
         else:
-            value = _closed_form(s, V, w, n, numer)
+            value = _closed_form(s, V, x, w, n, numer)
         rows.append((n, value, method))
         if value > DIVERGENCE_THRESHOLD:
             break

@@ -238,7 +238,8 @@ def test_renorm_mode_rows_are_renorm_power(mode, capsys):
     assert code == 0
     s = kbonacci.kbonacci(3)
     expected = [
-        ",".join(cli._fmt(c) for c in (3, 1.0, 4, i, renorm_power(s, Potential.v0(1.0), x, 4, mode), mode))
+        ",".join(f"{c:.12g}" if isinstance(c, float) else str(c)
+                 for c in (3, 1.0, 4, i, renorm_power(s, Potential.v0(1.0), x, 4, mode), mode))
         for i, x in enumerate(sample_configurations(s, 3, 0))
     ]
     assert out.splitlines()[2:] == expected

@@ -17,8 +17,6 @@ from kbonacci import cli
 # public name -> why it stays in the package although no command calls it
 ALLOWED = {
     "letter_frequencies": "the acceptance report reads mu[0] off it for (1 + mu[0]) U",
-    "maximal_prefix_after_power": "the closed form reads its windows for potentials of order > 1",
-    "Substitution.apply_power": "perfbench traces it by name",
     "Substitution.to_text": "the partner of Substitution.from_text: writes a substitution file",
     "BetaCReport.plateau_excess": "the acceptance report reads the plateau net of the floor",
     "CutPointSet.points": "the acceptance report reads the nested cut sets as Python ints",

@@ -15,12 +15,11 @@ from kbonacci import (
     delta_after_power,
     kbonacci,
     maximal_prefix,
-    maximal_prefix_after_power,
     power_prefix,
     tribonacci_appendix_checks,
     verify_recognizability,
 )
-from kbonacci import verify
+from kbonacci import cli, verify
 from kbonacci.errors import UncertifiedConfigurationError
 from kbonacci.sampling import sample_configurations
 
@@ -51,6 +50,36 @@ def test_delta_requires_certified_break(s3):
         delta(s3, Configuration("0102", "const", "0"))  # 01020 etc. all in language
 
 
+def maximal_prefix_after_power(s, w, n):
+    """Longest language prefix of s^n(x), given the longest language prefix
+    w of x: s^n(w) s^{n-1}(0) ... s(0) 0, spelled out by one-step images.
+    The oracle of power_prefix at the length delta_after_power(s, w, n)."""
+    for _ in range(n):
+        w = s.apply(w)
+    ladder = "0"
+    for _ in range(n - 1):
+        ladder = s.apply(ladder) + "0"
+    return w + ladder
+
+
+def doubled_power_prefix(s, x, n, length):
+    """The probe-doubling loop power_prefix replaced, kept as its oracle:
+    image lengths summed over a probe of x doubled from 64 letters, then
+    images joined by hand up to `length`."""
+    lengths = s.power_lengths(n)
+    probe = x.prefix(s, 64)
+    while sum(lengths[int(c)] for c in probe) < length and len(probe) < length:
+        probe = x.prefix(s, 2 * len(probe))
+    out = []
+    acc = 0
+    for c in probe:
+        out.append(s.power_image(n, int(c)))
+        acc += lengths[int(c)]
+        if acc >= length:
+            break
+    return "".join(out)
+
+
 def test_maximal_prefix_after_power(s3):
     assert maximal_prefix_after_power(s3, "00", 1) == "01010"
     w = maximal_prefix_after_power(s3, maximal_prefix(s3, ZEROS), 3)
@@ -66,7 +95,33 @@ def test_break_formula_reads_one_maximal_prefix(k, seed, data):
     n = data.draw(st.integers(min_value=1, max_value=k + 3))
     w = maximal_prefix(s, x)
     assert w == x.head[: delta(s, x)]
-    assert len(maximal_prefix_after_power(s, w, n)) == delta_after_power(s, w, n)
+    length = delta_after_power(s, w, n)
+    expected = maximal_prefix_after_power(s, w, n)
+    assert len(expected) == length
+    assert power_prefix(s, x, n, length)[:length] == expected
+
+
+UNEVEN_SUBSTITUTIONS = [kbonacci(k).images for k in range(2, 6)] + [
+    ("01", "10"), ("1", "01"), ("01", "1" * 40), ("0112", "0", "01")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_power_prefix_is_the_probe_doubling_loop(data):
+    images = data.draw(st.one_of(
+        st.sampled_from(UNEVEN_SUBSTITUTIONS),
+        st.integers(min_value=1, max_value=4).flatmap(lambda k: st.lists(
+            st.text(alphabet="0123"[:k], min_size=1, max_size=7), min_size=k, max_size=k))))
+    s = Substitution(images)
+    letters = "0123"[: s.k]
+    head = data.draw(st.text(alphabet=letters, max_size=100))
+    tail = data.draw(st.one_of(
+        st.tuples(st.just("const"), st.sampled_from(letters)),
+        st.tuples(st.just("periodic"), st.text(alphabet=letters, min_size=1, max_size=5))))
+    x = Configuration(head, *tail)
+    n = data.draw(st.integers(min_value=0, max_value=6 if max(map(len, images)) <= 4 else 3))
+    length = data.draw(st.integers(min_value=1, max_value=5_000))
+    assert power_prefix(s, x, n, length) == doubled_power_prefix(s, x, n, length)
 
 
 @pytest.mark.parametrize("k, depth", [(2, 30), (3, 22), (4, 20), (5, 20)])
@@ -118,14 +173,19 @@ def test_shifted_break_equals_scan_on_random_configurations(k, seed, extra, wher
 
 
 @pytest.mark.parametrize("k, checks", [(2, 116), (3, 214), (4, 262)])
-@pytest.mark.parametrize("error", [-1, 0, 1])
-def test_the_delta_suite_sweep_catches_a_closed_form_off_by_one(k, checks, error, monkeypatch):
+@pytest.mark.parametrize("error", [-8, -1, 0, 1])
+def test_the_delta_suite_sweep_catches_a_closed_form_off_by_one(k, checks, error, monkeypatch, capsys):
     # the suite reads the breaks off one sweep per configuration and level;
-    # a closed form off by one at a single level must still fail it
+    # a closed form off by one at a single level must still fail it, and
+    # one that understates a break past the end of the swept word (-8) fails
+    # it with the same checks instead of raising
     original = verify.delta_after_power
     monkeypatch.setattr(verify, "delta_after_power", lambda s, w, n: original(s, w, n) + error * (n == s.k + 1))
     (row,) = verify.suite_delta(kbonacci(k))
     assert (row.passed, row.detail) == (error == 0, f"{checks} checks")
+    assert cli.main(["verify", "--k", str(k), "--suites", "delta"]) == (0 if error == 0 else 1)
+    verdict = "PASS" if error == 0 else "FAIL"
+    assert f"{verdict} delta: closed form vs scan ({checks} checks)" in capsys.readouterr().out
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,7 +197,8 @@ def test_power_prefix_past_its_first_probe(data):
     x = Configuration(head, "const", data.draw(st.sampled_from(letters)))
     n = data.draw(st.integers(min_value=1, max_value=5))
     reference = s.apply_power(n, x.prefix(s, len(head) + 8))
-    # longer than the image of the first 64 letters, so the probe doubles
+    # longer than the image of the first 64 letters, where the probe of
+    # doubled_power_prefix doubles
     first_probe = sum(s.power_lengths(n)[int(c)] for c in x.prefix(s, 64))
     length = data.draw(st.integers(min_value=first_probe + 1, max_value=len(reference)))
     word = power_prefix(s, x, n, length)
@@ -159,8 +220,6 @@ def test_advance_break_from_the_start_is_the_scan(s2, s3):
 def test_delta_after_power_guards(s3):
     with pytest.raises(ValueError):
         delta_after_power(s3, "00", 0)  # n below range
-    with pytest.raises(ValueError):
-        maximal_prefix_after_power(s3, "00", 0)
 
 
 def test_cut_points(s3):
