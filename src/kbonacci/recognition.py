@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, InconclusiveWindowError, UncertifiedConfigurationError
-from .substitution import Substitution, occurrence_starts, require_kbonacci
+from .substitution import Substitution, require_kbonacci
 from .words import in_language
 
 INFINITE = math.inf
@@ -55,6 +55,8 @@ class Configuration:
 
     def prefix(self, s: Substitution, length: int) -> str:
         """First `length` letters of the configuration."""
+        if length < 0:
+            raise ValueError(f"prefix length must be nonnegative, got {length}")
         if self.tail_kind == "orbit":
             off = int(self.tail_data)
             return s.fixed_prefix(off + length)[off:]
@@ -218,13 +220,13 @@ def verify_recognizability(s: Substitution, cuts: CutPointSet) -> bool:
     n, window = cuts.n, cuts.window
     if n < s.k:
         raise ValueError(f"recognizability scan requires n >= k = {s.k}")
-    block = s.power_image(n, 0)
-    usable = cuts.starts[: np.searchsorted(cuts.starts, window - len(block), side="right")]
+    block_length = s.power_lengths(n)[0]
+    usable = cuts.starts[: np.searchsorted(cuts.starts, window - block_length, side="right")]
     if len(usable) < 2:
         raise InconclusiveWindowError(
             f"window {window} holds fewer than two full n={n} blocks"
         )
-    return np.array_equal(occurrence_starts(s.fixed_prefix(window), block), usable)
+    return np.array_equal(s.fixed_point_occurrences(n, window), usable)
 
 
 @dataclass(frozen=True)

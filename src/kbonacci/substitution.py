@@ -66,6 +66,7 @@ class Substitution:
         self._ladder = [0]  # _ladder[n] = sum_{l<n} |s^l(0)|
         self._shortest = [1]  # _shortest[m] = min_a |s^m(a)|, nondecreasing in m
         self._stream: FixedPointStream | None = None
+        self._scan: tuple[int, int, bytes, np.ndarray] | None = None  # see fixed_point_occurrences
         self._pairs: frozenset[str] | None = None
         self._level_texts: dict[int, str] = {}  # block level m -> its words joined by "|"
         self._texts: dict[int, str] = {}  # word length n -> the text of its block level
@@ -196,6 +197,32 @@ class Substitution:
             self._stream = FixedPointStream(self)
         return self._stream.prefix(length)
 
+    def fixed_point_occurrences(self, n: int, window: int) -> np.ndarray:
+        """``occurrence_starts(self.fixed_prefix(window), self.power_image(n, seed))``
+        for the fixed-point seed, narrowed from the last scan when it can be.
+
+        The instance holds its last scan: the window, the level m, the
+        window's letters and the starts of s^m(seed).  s(seed) begins with
+        seed, so s^m(seed) is a prefix of s^n(seed) for m <= n: a request
+        at the same window with n >= m compares only the letters of
+        s^n(seed) past |s^m(seed)|, at the held starts that leave room for
+        them.  Any other request scans the window.  Either result replaces
+        the held scan.
+        """
+        seed = self.fixed_point_seed()
+        word = self.power_image(n, seed)
+        held = self._scan
+        if held is not None and held[0] == window and held[1] <= n:
+            _, m, data, starts = held
+            starts = starts[: np.searchsorted(starts, len(data) - len(word), side="right")]
+            starts = _narrowed(data, word.encode("ascii"), starts, self.power_lengths(m)[seed])
+        else:
+            text = self.fixed_prefix(window)
+            starts = occurrence_starts(text, word)
+            data = text.encode("ascii")
+        self._scan = (window, n, data, starts)
+        return starts
+
     def pair_language(self) -> frozenset[str]:
         """All length-2 factors of the language, by closure under s.
 
@@ -307,23 +334,40 @@ def occurrence_starts(text: str, word: str) -> np.ndarray:
     included, as a sorted integer array.
 
     Text and word are ASCII strings, as every word over a digit alphabet
-    is.  The word is read in windows of w letters, w the widest of 8, 4, 2
-    and 1 that fits in it: the starts where the text's window equals the
-    word's first one are found in one numpy comparison, then narrowed by
-    the word's windows at offsets w, 2w, ... and |word| - w, which cover
-    the rest of the word.
+    is.  The starts where the text's window of w letters equals the word's
+    first one, w as in ``_narrowed``, are found in one numpy comparison,
+    then narrowed by the rest of the word.
     """
     if not word:
         return np.arange(len(text) + 1)
     data, key = text.encode("ascii"), word.encode("ascii")
     if len(key) > len(data):
         return np.zeros(0, dtype=np.intp)
-    width = next(w for w in (8, 4, 2, 1) if w <= len(key))
+    width = _window_width(len(key))
+    windows = _packed_windows(data, width)[: len(data) - len(key) + 1]
+    return _narrowed(data, key, np.flatnonzero(windows == _packed_windows(key, width)[0]), width)
+
+
+def _window_width(length: int) -> int:
+    """The widest of 8, 4, 2 and 1 letters that fits in a word of `length`."""
+    return next(w for w in (8, 4, 2, 1) if w <= length)
+
+
+def _narrowed(data: bytes, key: bytes, starts: np.ndarray, known: int) -> np.ndarray:
+    """The sorted starts at which data holds key, among `starts`, at each of
+    which data holds key[:known] and has room for all of key.
+
+    The key is read in windows of w letters, w = ``_window_width(len(key))``,
+    at offsets known, known + w, ... and |key| - w, which cover the rest of
+    it; each comparison keeps the starts where the text's window matches.
+    """
+    if len(starts) == 0:  # the text may then be shorter than one window
+        return starts
+    width = _window_width(len(key))
     windows, parts = _packed_windows(data, width), _packed_windows(key, width)
-    starts = np.flatnonzero(windows[: len(data) - len(key) + 1] == parts[0])
-    for offset in range(width, len(key), width):
+    for offset in range(known, len(key), width):
         offset = min(offset, len(key) - width)
-        starts = starts[windows[starts + offset] == parts[offset]]
+        starts = starts[windows[offset:][starts] == parts[offset]]
     return starts
 
 

@@ -39,6 +39,18 @@ def test_configuration_prefix(s3):
     assert Configuration("", "orbit", 2).prefix(s3, 5) == "02010"
 
 
+@pytest.mark.parametrize("x, length", [
+    (Configuration("0102", "const", "0"), -1),  # a slice would drop the last letter
+    (Configuration("0102", "periodic", "01"), -2),
+    (Configuration("", "orbit", 3), -1),  # a slice would read an empty word
+    (Configuration("", "orbit", 0), -1),
+])
+def test_configuration_prefix_rejects_a_negative_length(s3, x, length):
+    with pytest.raises(ValueError, match="nonnegative"):
+        x.prefix(s3, length)
+    assert x.prefix(s3, 0) == ""
+
+
 def test_delta_basic(s3):
     assert delta(s3, ZEROS) == 2
     assert delta(s3, ONES) == 1
@@ -309,6 +321,27 @@ def _corrupted_cut_points(s, n, window):
         "shifted": points[:mid] + (points[mid] + 1,) + points[mid + 1 :],
         "next level": cut_points(s, n + 1, window).points,
     }
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_recognizability_through_the_held_scan_rejects_a_shifted_start(k, shift, monkeypatch):
+    s = kbonacci(k)
+    window = 20_000
+    assert verify_recognizability(s, cut_points(s, k, window))  # scans the window at level k
+
+    def no_scan(text, word):
+        raise AssertionError("the window was scanned again")
+
+    # the occurrences of s^(k+2)(0) are narrowed from those of s^k(0)
+    monkeypatch.setattr("kbonacci.substitution.occurrence_starts", no_scan)
+    n = k + 2
+    cuts = cut_points(s, n, window)
+    points = list(cuts.points)
+    usable = sum(d + s.power_lengths(n)[0] <= window for d in points)
+    points[usable // 2] += shift
+    assert not verify_recognizability(s, CutPointSet(n, window, points))
+    assert verify_recognizability(s, cuts)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

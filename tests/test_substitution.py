@@ -255,6 +255,28 @@ def test_occurrences_of_blocks_in_the_fixed_point_match_find_loop(k, window):
         assert occurrence_starts(omega, block).tolist() == find_loop_occurrences(omega, block)
 
 
+# k-bonacci for k = 2..5 and Thue-Morse, which is primitive with seed 0
+HELD_SCAN_SUBSTITUTIONS = [kbonacci(k).images for k in range(2, 6)] + [("01", "10")]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(HELD_SCAN_SUBSTITUTIONS),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=12), st.sampled_from([0, 3, 40, 500, 3000])),
+                min_size=1, max_size=12))
+@example(("01", "10"), [(2, 3000), (3, 3000), (3, 3000), (12, 3000), (11, 3000), (13, 3000), (5, 40), (9, 40)])
+@example(("01", "0"), [(0, 500), (1, 500), (4, 500), (12, 500), (2, 3), (1, 3), (5, 3), (12, 500)])
+def test_held_scan_matches_fresh_scans(images, requests):
+    # rising, falling and repeated levels, and window changes, on one
+    # instance; windows of 0 to 40 letters are shorter than most words
+    s = Substitution(images)
+    seed = s.fixed_point_seed()
+    for n, window in requests:
+        text, word = s.fixed_prefix(window), s.power_image(n, seed)
+        expected = find_loop_occurrences(text, word)
+        assert occurrence_starts(text, word).tolist() == expected
+        assert s.fixed_point_occurrences(n, window).tolist() == expected
+
+
 @given(st.sampled_from(APPLY_SUBSTITUTIONS), st.data())
 def test_apply_matches_joined_images(images, data):
     s = Substitution(images)
