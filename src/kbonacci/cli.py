@@ -116,7 +116,10 @@ def _parse_beta_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError("beta grid needs at least 1 point")
     if points > MAX_BETA_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"beta grid takes at most {MAX_BETA_GRID_POINTS} points, got {points}")
-    return np.geomspace(*ends, points)
+    betas = np.geomspace(*ends, points)
+    if not np.all(np.diff(betas) > 0):
+        raise argparse.ArgumentTypeError("beta grid must strictly rise: its first end below its last, its points distinct")
+    return betas
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -287,30 +290,46 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given one command's name, a parser
-    holding that command alone: argparse builds each subparser eagerly,
-    and the seven together cost about as much as a small command."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for `--help` and the errors that name
+    them all: argparse builds each subparser eagerly, so `main` builds it
+    only when one command's parser cannot answer."""
     parser = argparse.ArgumentParser(
         prog="kbonacci",
         description="k-bonacci substitution combinatorics and pressure experiments",
     )
-    # A parser built for one command still names all of them in its usage
-    # line; the full parser keeps argparse's own, which also names the
-    # missing argument "command".
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else [command]:
-        help_text, func, add_options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_options(p)
         p.set_defaults(func=func)
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, built as `add_parser(name, help=...)` builds it
+    under the full parser, so its help and error text are the same bytes."""
+    _, func, add_options = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"kbonacci {name}")
+    add_options(parser)
+    parser.set_defaults(func=func, command=name)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """A named command is parsed by its own parser. The full parser answers
+    the rest: no command, `--help`, and leftover arguments, which it reports
+    under its own usage line."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         s = _load_substitution(args)
         w = CsvWriter(_config_line(args, s))

@@ -240,9 +240,12 @@ def find_beta_c(
     betas: np.ndarray | None = None,
     statistic: str = "raw",
 ) -> BetaCReport:
-    """Smallest grid beta where the chosen statistic drops to tol or below."""
+    """Smallest grid beta where the chosen statistic drops to tol or below;
+    the grid must strictly rise, or "smallest" is not its first hit."""
     if statistic not in ("raw", "excess"):
         raise ValueError("statistic must be 'raw' or 'excess'")
+    if betas is not None and not np.all(np.diff(betas) > 0):
+        raise ValueError("beta grid must strictly rise")
     curve = pressure_curve(s, V, n, betas)
     values = np.asarray(curve.highs) if statistic == "raw" else curve.excess()
     hit = None

@@ -92,29 +92,45 @@ def test_a_parser_built_for_one_command_has_that_commands_options():
     full = _subparsers(cli.build_parser())
     assert list(full) == list(cli.COMMANDS)
     for name in cli.COMMANDS:
-        alone = _subparsers(cli.build_parser(name))
-        assert list(alone) == [name]
-        assert options(alone[name]) == options(full[name])
+        alone = cli._command_parser(name)
+        assert alone.prog == full[name].prog == f"kbonacci {name}"
+        assert options(alone) == options(full[name])
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["delta", "--help"], ["bogus"], [], ["delta", "--bogus"],
-                                  ["renorm", "--mode", "x"], ["lang", "--k", "2", "--depth", "3"]])
-def test_main_answers_as_with_the_full_parser(argv, monkeypatch, capsys):
-    def outcome():
+def outcome(argv):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+    return code, out.getvalue(), err.getvalue()
 
+
+def parse_with_the_full_parser(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+# The full parser answers help for all commands, no command, an unknown one
+# and leftover arguments, which it reports under its own usage line.
+ANSWERED_BY_THE_FULL_PARSER = [["--help"], ["bogus"], [], ["delta", "--bogus"], ["lang", "--depth", "3", "stray"],
+                               ["lang", "--", "--k", "2"], ["-h", "--k"]]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["delta", "--help"], ["bogus"], [], ["delta", "--bogus"],
+                                  ["renorm", "--mode", "x"], ["lang", "--k", "2", "--depth", "3"],
+                                  ["lang", "--dep", "3"], ["lang", "--k=2", "--depth", "3"],
+                                  ["lang", "--depth", "3", "stray"], ["lang", "--", "--k", "2"],
+                                  ["pressure", "--depth", "x"], ["-h", "--k"]])
+def test_main_answers_as_with_the_full_parser(argv, monkeypatch):
     built = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
-    answer = outcome()
-    assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
-    assert outcome() == answer
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or build())
+    answer = outcome(argv)
+    assert built == ([argv] if argv in ANSWERED_BY_THE_FULL_PARSER else [])
+    monkeypatch.setattr(cli, "_parse_args", parse_with_the_full_parser)
+    assert outcome(argv) == answer
     if argv == ["delta", "--bogus"]:
         assert answer[2].startswith("usage: kbonacci [-h] {lang,delta,recog,spectral,renorm,pressure,verify} ...\n")
 
@@ -312,6 +328,13 @@ def test_non_positive_or_non_finite_beta_grid_is_a_usage_error(grid, capsys):
     assert_usage_error(capsys, exc.value.code)
 
 
+@pytest.mark.parametrize("grid", ["64:0.01:8", "5:5:3", "1:1.0000000000000002:5"])
+def test_beta_grid_that_does_not_rise_is_a_usage_error(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pressure", "--k", "2", "--depth", "6", "--beta-grid", grid, "--tol", "0.5"])
+    assert_usage_error(capsys, exc.value.code)
+
+
 def test_beta_grid_at_the_point_cap_parses():
     assert cli._parse_beta_grid(f"0.01:64:{cli.MAX_BETA_GRID_POINTS}").size == cli.MAX_BETA_GRID_POINTS
 
@@ -357,7 +380,7 @@ def test_options_line_records_the_loaded_substitutions_k(tmp_path, capsys):
     assert " k=1 " in options and first_row.startswith("1,")
 
 
-@pytest.mark.parametrize("grid", [None, "1.0000001:2.123456789:3", "1e-300:1e300:2"])
+@pytest.mark.parametrize("grid", [None, "1.0000001:2.123456789:3", "1e-300:1e300:2", "5:5:1"])
 def test_options_line_beta_grid_parses_back_to_the_same_grid(grid, capsys):
     # the default grid must still read 0.01:64:64
     argv = ["pressure", "--k", "2", "--depth", "4"] + ([] if grid is None else ["--beta-grid", grid])
@@ -464,23 +487,32 @@ def command_lines(draw):
                      if name in SIZES or draw(st.booleans())}
 
 
-@settings(max_examples=300, deadline=None)
-@given(command_lines())
-def test_exit_code_contract_holds_for_random_arguments(input_files, command_line):
+def fuzz_argv(input_files, command_line) -> list[str]:
     command, chosen = command_line
     argv = [command]
     for name, value in chosen.items():
         if name in ("substitution", "config", "out"):
             value = input_files[name, value]
         argv.append(f"--{name}={value}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    err = err.getvalue()
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_exit_code_contract_holds_for_random_arguments(input_files, command_line):
+    argv = fuzz_argv(input_files, command_line)
+    code, _, err = outcome(argv)
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     if code == 2:
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command_lines())
+def test_main_answers_random_arguments_as_with_the_full_parser(input_files, command_line):
+    argv = fuzz_argv(input_files, command_line)
+    answer = outcome(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_args", parse_with_the_full_parser)
+        assert outcome(argv) == answer, argv

@@ -272,6 +272,12 @@ def test_find_beta_c_crossing(s2):
     assert excess_report.plateau_excess(2 * excess_report.beta_c) <= 1e-3
 
 
+@pytest.mark.parametrize("betas", [np.geomspace(64, 0.01, 8), np.array([5.0, 5.0, 5.0])])
+def test_find_beta_c_rejects_a_grid_that_does_not_rise(s2, betas):
+    with pytest.raises(ValueError):
+        find_beta_c(s2, V0, 6, tol=0.5, betas=betas)
+
+
 def test_plateau_excess_below_the_grid_is_an_error(s2):
     report = find_beta_c(s2, V0, 10, tol=1e-3, statistic="excess")
     assert report.curve.betas[0] == 0.01
