@@ -30,11 +30,9 @@ from .pressure import (
 from .recognition import (
     Configuration,
     CutPointSet,
-    INFINITE,
     advance_break,
     brute_delta,
     cut_points,
-    delta,
     delta_after_power,
     maximal_prefix,
     power_prefix,
@@ -44,7 +42,6 @@ from .recognition import (
 from .renorm import (
     ConvergenceStudy,
     convergence_study,
-    eval_potential,
     fixed_point_U,
     renorm_power,
     verify_fixed_point,

@@ -213,7 +213,7 @@ def cmd_pressure(args, s: Substitution, w: CsvWriter) -> int:
 
 
 def cmd_verify(args, s: Substitution, w: CsvWriter) -> int:
-    results = run_all(s, args.suites.split(",") if args.suites else None)
+    results = run_all(s, args.suites.split(",") if args.suites is not None else None)
     failed = 0
     for r in results:
         failed += 0 if r.passed else 1

@@ -1,22 +1,19 @@
-"""Distance-to-subshift combinatorics: the break function delta, its
-closed forms after substitution powers and shifts, cut-point sets of the
-fixed point, and recognizability scans.
+"""Distance-to-subshift combinatorics: the longest language prefix, whose
+length is the break delta, the closed forms of the break after
+substitution powers and shifts, cut-point sets of the fixed point, and
+recognizability scans.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceededError, InconclusiveWindowError, UncertifiedConfigurationError
 from .substitution import Substitution, require_kbonacci
 from .words import in_language
-
-INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -95,41 +92,29 @@ def power_prefix(s: Substitution, x: Configuration, n: int, length: int) -> str:
     return s.apply_power(n, letters[: next(i for i, end in enumerate(ends, 1) if end >= length)])
 
 
-def delta(s: Substitution, x: Configuration) -> int | float:
-    """Length of the longest prefix of x in the language; inf on the subshift.
-
-    The break must be certified by the head: if every head prefix is in
-    the language the configuration is rejected rather than extended.
-    """
-    if x.in_subshift:
-        return INFINITE
-    return brute_delta(s, x.head)
-
-
-def brute_delta(s: Substitution, word: str, start: int = 0) -> int:
-    """Largest q with word[start:start+q] in the language.
+def brute_delta(s: Substitution, word: str) -> int:
+    """Largest q with word[:q] in the language.
 
     Bisection over the membership oracle (membership is prefix-monotone);
     the oracle against the closed forms.  Raises if the break is not
     witnessed inside the word.
     """
-    tail = word[start:]
-    lo, hi = 0, len(tail)
+    lo, hi = 0, len(word)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if in_language(s, tail[:mid]):
+        if in_language(s, word[:mid]):
             lo = mid
         else:
             hi = mid - 1
-    if lo == len(tail):
+    if lo == len(word):
         raise UncertifiedConfigurationError(
-            f"all {len(tail)} letters lie in the language; break position uncertified"
+            f"all {len(word)} letters lie in the language; break position uncertified"
         )
     return lo
 
 
 def advance_break(s: Substitution, word: str, start: int, end: int) -> int:
-    """start + brute_delta(s, word, start), given that word[start:end] is in
+    """start + brute_delta(s, word[start:]), given that word[start:end] is in
     the language.
 
     Advances end one letter per passing query and stops at the first
@@ -187,11 +172,6 @@ class CutPointSet:
 
     def __post_init__(self):
         object.__setattr__(self, "starts", np.asarray(self.starts, dtype=np.int64))
-
-    @cached_property
-    def points(self) -> tuple[int, ...]:
-        """The cut points as Python ints."""
-        return tuple(self.starts.tolist())
 
 
 def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:

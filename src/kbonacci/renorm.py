@@ -26,30 +26,14 @@ from .recognition import (
     Configuration,
     advance_break,
     brute_delta,
-    delta,
     delta_after_power,
     maximal_prefix,
     power_prefix,
 )
 from .spectral import left_eigenvector, perron_root
 from .substitution import Substitution, require_kbonacci
-from .words import in_language
 
 MODES = ("closed-form", "brute-force")
-
-
-# -- potential evaluation ----------------------------------------------------
-
-
-def eval_potential(s: Substitution, V: Potential, x: Configuration) -> float:
-    """(g + h)(first letters) / delta^alpha; zero on the subshift."""
-    return 0.0 if x.in_subshift else _potential_at_break(V, x, delta(s, x))
-
-
-def _potential_at_break(V: Potential, x: Configuration, p: int) -> float:
-    if len(x.head) < V.order:
-        raise ValueError(f"head of length {len(x.head)} shorter than potential order {V.order}")
-    return V.numerator(x.head[: V.order]) / float(p) ** V.alpha
 
 
 # -- powers of the operator --------------------------------------------------
@@ -62,27 +46,18 @@ def renorm_power(
     n: int,
     mode: str = "closed-form",
 ) -> float:
-    """(R^n V)(x) = sum over j < |s^n(x_0)| of V(sigma^j s^n(x)).
-    The closed form, from w = maximal_prefix(s, x), needs a k-bonacci s,
-    n >= k and V.order <= s.ladder_length(n - 1) + 1 (at least 2^k at
-    n = k), which keeps every window read inside the longest language
-    prefix of s^n(x); else it raises ValueError."""
+    """(R^n V)(x) = sum over j < |s^n(x_0)| of V(sigma^j s^n(x)); R^0 V = V,
+    (g + h)(first letters) / delta^alpha, and every power is zero on the
+    subshift.  The closed form, from w = maximal_prefix(s, x), needs a
+    k-bonacci s, n >= k and V.order <= s.ladder_length(n - 1) + 1 (at
+    least 2^k at n = k), which keeps every window read inside the longest
+    language prefix of s^n(x); else it raises ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     V.validate_for(s)
-    if n == 0:
-        return eval_potential(s, V, x)
     if x.in_subshift:
         return 0.0
-    if mode == "closed-form":
-        w = maximal_prefix(s, x)
-        require_kbonacci(s)
-        if n < s.k:
-            raise ValueError(f"closed-form mode requires n >= k = {s.k}")
-        return _closed_form(s, V, x, w, n, _constant_numerator(s, V))
-    return _renorm_power_brute(
-        s, x, n, lambda word, j, dj: V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha, V.order
-    )
+    return _renorm_level(s, V, x, maximal_prefix(s, x), n, mode, _constant_numerator(s, V))
 
 
 def _constant_numerator(s: Substitution, V: Potential) -> float | None:
@@ -90,9 +65,24 @@ def _constant_numerator(s: Substitution, V: Potential) -> float | None:
     return V.numerator_range("", s.k)[0] if V.is_locally_trivial else None
 
 
-def _closed_form(s: Substitution, V: Potential, x: Configuration, w: str, n: int, numer: float | None) -> float:
-    """The closed form of renorm_power, for a V validated on a k-bonacci s,
-    n >= k, w = maximal_prefix(s, x) and numer = _constant_numerator(s, V)."""
+def _renorm_level(
+    s: Substitution, V: Potential, x: Configuration, w: str, n: int, mode: str, numer: float | None
+) -> float:
+    """renorm_power for a V validated on s, x off the subshift,
+    w = maximal_prefix(s, x) and numer = _constant_numerator(s, V): V read
+    off w at n = 0, else the break sweep of s^n(x) in brute-force mode or
+    the closed form."""
+    if n == 0:
+        if len(x.head) < V.order:
+            raise ValueError(f"head of length {len(x.head)} shorter than potential order {V.order}")
+        return V.numerator(x.head[: V.order]) / float(len(w)) ** V.alpha
+    if mode == "brute-force":
+        return _renorm_power_brute(
+            s, x, n, lambda word, j, dj: V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha, V.order
+        )
+    require_kbonacci(s)
+    if n < s.k:
+        raise ValueError(f"closed-form mode requires n >= k = {s.k}")
     if V.order > s.ladder_length(n - 1) + 1:
         raise ValueError(f"potential order {V.order} exceeds s.ladder_length({n - 1}) + 1")
     big_delta = delta_after_power(s, w, n)
@@ -173,12 +163,8 @@ def _renorm_power_brute(
     """Sum of term(word, j, delta_j) over the shifts j < |s^n(x_0)|, where
     delta_j = delta(sigma^j s^n(x)) and word is a prefix of s^n(x) that
     holds every break and at least `reach` letters past each j.  x must
-    lie off the subshift."""
-    # the head contains its break iff the head is not in the language: one query
-    if in_language(s, x.head):
-        raise UncertifiedConfigurationError(
-            f"all {len(x.head)} letters lie in the language; break position uncertified"
-        )
+    lie off the subshift, with a head that maximal_prefix has certified
+    to hold its break."""
     lengths = s.power_lengths(n)
     block = lengths[int(x.prefix(s, 1))]
     length = sum(lengths[int(c)] for c in x.head) + s.ladder_length(n - 1) + reach + 2
@@ -198,7 +184,7 @@ def _sweep_breaks(s: Substitution, x: Configuration, n: int, word: str, count: i
     for j in range(count):
         while True:
             try:
-                end = brute_delta(s, word, 0) if j == 0 else advance_break(s, word, j, max(end, j))
+                end = brute_delta(s, word) if j == 0 else advance_break(s, word, j, max(end, j))
                 break
             except UncertifiedConfigurationError:
                 word = power_prefix(s, x, n, 2 * len(word))
@@ -243,8 +229,9 @@ def verify_fixed_point(s: Substitution, samples: Sequence[Configuration]) -> flo
     for x in samples:
         if x.in_subshift:
             continue
+        right = fixed_point_U(s, x)  # certifies the head before the sweep
         left = _renorm_power_brute(s, x, 1, lambda word, j, dj: _fixed_point_from(s, word[j : j + dj]), 0)
-        worst = max(worst, abs(left - fixed_point_U(s, x)))
+        worst = max(worst, abs(left - right))
     return worst
 
 
@@ -289,14 +276,7 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
     rows = []
     for n in range(n_max + 1):
         method = "brute-force" if n < s.k else "closed-form"
-        if w is None:
-            value = 0.0
-        elif n == 0:
-            value = _potential_at_break(V, x, len(w))
-        elif method == "brute-force":
-            value = renorm_power(s, V, x, n, mode=method)
-        else:
-            value = _closed_form(s, V, x, w, n, numer)
+        value = 0.0 if w is None else _renorm_level(s, V, x, w, n, method, numer)
         rows.append((n, value, method))
         if value > DIVERGENCE_THRESHOLD:
             break

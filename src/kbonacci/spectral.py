@@ -53,14 +53,12 @@ def perron_root(k: int) -> float:
     return x
 
 
-def left_eigenvector(k: int, lam: float | None = None) -> np.ndarray:
+def left_eigenvector(k: int, lam: float) -> np.ndarray:
     """Left Perron eigenvector v with v_l = lambda^{l+1-k} sum_{j<=k-1-l} lambda^j.
 
     The normalization makes v_{k-1} = 1 and forces v_0 = lambda via the
     defining polynomial identity.
     """
-    if lam is None:
-        lam = perron_root(k)
     v = np.empty(k)
     for l in range(k):
         v[l] = sum(lam**j for j in range(k - l)) / lam ** (k - 1 - l)

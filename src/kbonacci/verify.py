@@ -83,7 +83,7 @@ def suite_delta(s: Substitution) -> list[CheckResult]:
             for j in range(block):
                 if end < len(word):
                     try:
-                        end = brute_delta(s, word, 0) if j == 0 else advance_break(s, word, j, max(end, j))
+                        end = brute_delta(s, word) if j == 0 else advance_break(s, word, j, max(end, j))
                     except UncertifiedConfigurationError:
                         end = len(word)
                 if j % stride == 0:

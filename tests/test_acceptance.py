@@ -112,7 +112,7 @@ def test_04_delta_closed_forms():
                 word = power_prefix(s, x, n, base + 8)
                 for j in js:
                     checks += 1
-                    if base - j != brute_delta(s, word, j):
+                    if base - j != brute_delta(s, word[j:]):
                         mismatches += 1
     elapsed = time.time() - t0
     report(4, mismatches == 0 and checks >= 1000 and elapsed < 60,
@@ -127,7 +127,7 @@ def test_05_recognizability():
         for n in range(k, k + 4):
             ok &= verify_recognizability(s, cut_points(s, n, 100_000))
         for n in range(1, k + 4):
-            ok &= set(cut_points(s, n + 1, 100_000).points) <= set(cut_points(s, n, 100_000).points)
+            ok &= set(cut_points(s, n + 1, 100_000).starts.tolist()) <= set(cut_points(s, n, 100_000).starts.tolist())
     elapsed = time.time() - t0
     report(5, ok and elapsed < 30, f"occurrence sets = cut points, nested, {elapsed:.1f}s")
 

@@ -187,9 +187,11 @@ def test_the_runtime_does_not_import_mpmath():
 
 @pytest.mark.parametrize("argv, bisections", [(["delta", "--k", "3", "--samples", "4", "--n-max", "10"], 4),
                                              (["verify", "--k", "3", "--suites", "delta"], 8),
-                                             (["renorm", "--k", "3", "--samples", "2", "--n-max", "10"], 2)])
+                                             (["renorm", "--k", "3", "--samples", "2", "--n-max", "10"], 2),
+                                             (["renorm", "--mode", "brute-force", "--k", "3", "--samples", "2",
+                                               "--n-max", "4"], 2)])
 def test_one_break_bisection_per_configuration(argv, bisections, monkeypatch, capsys):
-    # delta and maximal_prefix bisect through recognition.brute_delta; the
+    # maximal_prefix bisects through recognition.brute_delta; the
     # scans of s^n(x) by verify and by brute-force renorm call the names
     # imported into those modules and are not counted
     calls = []
@@ -291,8 +293,9 @@ def test_config_line_without_tail_is_a_usage_error(tmp_path, capsys):
     assert_usage_error(capsys, main(["delta", "--k", "3", "--config", str(cfg)]))
 
 
-def test_unknown_suite_is_a_usage_error(capsys):
-    assert_usage_error(capsys, main(["verify", "--k", "3", "--suites", "nope"]))
+@pytest.mark.parametrize("suites", ["nope", ""])
+def test_unknown_suite_is_a_usage_error(suites, capsys):
+    assert_usage_error(capsys, main(["verify", "--k", "3", "--suites", suites]))
 
 
 @pytest.mark.parametrize("argv", [["lang", "--depth", "-1"], ["delta", "--samples", "-1"]])

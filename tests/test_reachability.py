@@ -19,7 +19,6 @@ ALLOWED = {
     "letter_frequencies": "the acceptance report reads mu[0] off it for (1 + mu[0]) U",
     "Substitution.to_text": "the partner of Substitution.from_text: writes a substitution file",
     "BetaCReport.plateau_excess": "the acceptance report reads the plateau net of the floor",
-    "CutPointSet.points": "the acceptance report reads the nested cut sets as Python ints",
     "CylinderFunction.indicator": "the acceptance report builds g = 1 + 1_[0] with it",
 }
 

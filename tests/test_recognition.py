@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,11 +8,9 @@ from kbonacci import (
     Configuration,
     CutPointSet,
     Substitution,
-    INFINITE,
     advance_break,
     brute_delta,
     cut_points,
-    delta,
     delta_after_power,
     kbonacci,
     maximal_prefix,
@@ -52,14 +51,17 @@ def test_configuration_prefix_rejects_a_negative_length(s3, x, length):
 
 
 def test_delta_basic(s3):
-    assert delta(s3, ZEROS) == 2
-    assert delta(s3, ONES) == 1
-    assert delta(s3, Configuration("", "orbit", 0)) == INFINITE
+    assert len(maximal_prefix(s3, ZEROS)) == brute_delta(s3, ZEROS.head) == 2
+    assert len(maximal_prefix(s3, ONES)) == brute_delta(s3, ONES.head) == 1
+    with pytest.raises(ValueError, match="outside the subshift"):
+        maximal_prefix(s3, Configuration("", "orbit", 0))
 
 
 def test_delta_requires_certified_break(s3):
-    with pytest.raises(UncertifiedConfigurationError):
-        delta(s3, Configuration("0102", "const", "0"))  # 01020 etc. all in language
+    x = Configuration("0102", "const", "0")  # 01020 etc. all in language
+    for find_break in (lambda: maximal_prefix(s3, x), lambda: brute_delta(s3, x.head)):
+        with pytest.raises(UncertifiedConfigurationError, match="all 4 letters lie in the language"):
+            find_break()
 
 
 def maximal_prefix_after_power(s, w, n):
@@ -106,7 +108,7 @@ def test_break_formula_reads_one_maximal_prefix(k, seed, data):
     x = sample_configurations(s, 1, seed)[0]
     n = data.draw(st.integers(min_value=1, max_value=k + 3))
     w = maximal_prefix(s, x)
-    assert w == x.head[: delta(s, x)]
+    assert w == x.head[: brute_delta(s, x.head)]
     length = delta_after_power(s, w, n)
     expected = maximal_prefix_after_power(s, w, n)
     assert len(expected) == length
@@ -164,10 +166,10 @@ def test_closed_form_equals_scan(s3, s2, s4):
             for n in range(s.k, s.k + 2):
                 base = delta_after_power(s, w, n)
                 word = power_prefix(s, x, n, base + 8)
-                assert brute_delta(s, word, 0) == base
+                assert brute_delta(s, word) == base
                 block = s.power_lengths(n)[int(x.head[0])]
                 for j in (1, block // 2, block - 1):
-                    assert base - j == brute_delta(s, word, j)
+                    assert base - j == brute_delta(s, word[j:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,7 +183,7 @@ def test_shifted_break_equals_scan_on_random_configurations(k, seed, extra, wher
     j = int(where * block)
     base = delta_after_power(s, maximal_prefix(s, x), n)
     word = power_prefix(s, x, n, base + 1)
-    assert base - j == brute_delta(s, word, j)
+    assert base - j == brute_delta(s, word[j:])
 
 
 @pytest.mark.parametrize("k, checks", [(2, 116), (3, 214), (4, 262)])
@@ -224,7 +226,7 @@ def test_advance_break_from_the_start_is_the_scan(s2, s3):
         for x in sample_configurations(s, 3, seed=5):
             word = power_prefix(s, x, s.k, 3 * len(x.head) + 40)
             for j in range(len(word) // 2):
-                assert advance_break(s, word, j, j) == j + brute_delta(s, word, j)
+                assert advance_break(s, word, j, j) == j + brute_delta(s, word[j:])
     with pytest.raises(UncertifiedConfigurationError):
         advance_break(s3, s3.fixed_prefix(20), 0, 5)
 
@@ -235,8 +237,8 @@ def test_delta_after_power_guards(s3):
 
 
 def test_cut_points(s3):
-    assert cut_points(s3, 1, 10).points == (0, 2, 4, 6, 7, 9)
-    assert 0 in cut_points(s3, 3, 100).points
+    assert cut_points(s3, 1, 10).starts.tolist() == [0, 2, 4, 6, 7, 9]
+    assert 0 in cut_points(s3, 3, 100).starts.tolist()
 
 
 def looped_cut_points(s, n, window):
@@ -275,8 +277,8 @@ def test_cut_points_match_letter_loop(images, n, window):
             cut_points(s, n, window)
         return
     cuts = cut_points(s, n, window)
-    assert cuts.points == expected
-    assert all(type(d) is int for d in cuts.points)
+    assert tuple(cuts.starts.tolist()) == expected
+    assert cuts.starts.dtype == np.int64
 
 
 def test_recognizability_reuses_the_callers_cut_points(s3):
@@ -285,8 +287,8 @@ def test_recognizability_reuses_the_callers_cut_points(s3):
 
 
 def test_cut_points_nested(s3):
-    big = set(cut_points(s3, 2, 3000).points)
-    small = set(cut_points(s3, 3, 3000).points)
+    big = set(cut_points(s3, 2, 3000).starts.tolist())
+    small = set(cut_points(s3, 3, 3000).starts.tolist())
     assert small <= big
 
 
@@ -304,7 +306,7 @@ def test_recognizability_at_windows_ending_by_a_block(k):
     s = kbonacci(k)
     n = k
     block = len(s.power_image(n, 0))
-    for d in cut_points(s, n, 2_000).points[-3:]:
+    for d in cut_points(s, n, 2_000).starts[-3:].tolist():
         for window in (d + block - 1, d + block):
             assert verify_recognizability(s, cut_points(s, n, window))
 
@@ -313,13 +315,13 @@ def _corrupted_cut_points(s, n, window):
     """Cut-point sets that differ from cut_points(s, n, window) inside the
     usable part of the window: the last usable point dropped, the middle
     point shifted by one, and the level n+1 points labelled as level n."""
-    points = cut_points(s, n, window).points
+    points = tuple(cut_points(s, n, window).starts.tolist())
     last = max(i for i, d in enumerate(points) if d + len(s.power_image(n, 0)) <= window)
     mid = len(points) // 2
     return {
         "dropped": points[:last] + points[last + 1 :],
         "shifted": points[:mid] + (points[mid] + 1,) + points[mid + 1 :],
-        "next level": cut_points(s, n + 1, window).points,
+        "next level": tuple(cut_points(s, n + 1, window).starts.tolist()),
     }
 
 
@@ -337,7 +339,7 @@ def test_recognizability_through_the_held_scan_rejects_a_shifted_start(k, shift,
     monkeypatch.setattr("kbonacci.substitution.occurrence_starts", no_scan)
     n = k + 2
     cuts = cut_points(s, n, window)
-    points = list(cuts.points)
+    points = cuts.starts.tolist()
     usable = sum(d + s.power_lengths(n)[0] <= window for d in points)
     points[usable // 2] += shift
     assert not verify_recognizability(s, CutPointSet(n, window, points))

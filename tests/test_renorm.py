@@ -13,7 +13,6 @@ from kbonacci import (
     birkhoff_bounds,
     brute_delta,
     convergence_study,
-    eval_potential,
     fixed_point_U,
     kbonacci,
     letter_frequencies,
@@ -56,8 +55,9 @@ def test_entry_points_validate_the_potential(s3):
 
 
 def test_eval_potential(s3):
-    assert eval_potential(s3, V0, ZEROS) == 0.5
-    assert eval_potential(s3, V0, Configuration("", "orbit", 0)) == 0.0
+    # R^0 V = V: 1 / delta at the break |maximal_prefix| = 2, zero on an orbit
+    assert renorm_power(s3, V0, ZEROS, 0) == 0.5
+    assert renorm_power(s3, V0, Configuration("", "orbit", 0), 0) == 0.0
 
 
 def test_brute_force_first_power_value(s3):
@@ -217,7 +217,7 @@ def test_convergence_study_rows_are_the_single_level_entry_points(k, alpha, seed
     V = Potential.v0(alpha)
     x = sample_configurations(s, 1, seed)[0]
     study = convergence_study(s, V, x, n_max=20)
-    assert study.rows[0] == (0, eval_potential(s, V, x), "brute-force")
+    assert study.rows[0] == (0, renorm_power(s, V, x, 0), "brute-force")
     for n, value, method in study.rows[1:]:
         if n < k:
             assert (value, method) == (renorm_power(s, V, x, n, "brute-force"), "brute-force")
@@ -291,11 +291,11 @@ def test_inverse_power_sum_matches_the_term_by_term_sum_past_the_direct_span(alp
 
 def test_powers_reject_a_head_without_its_break(s3):
     x = Configuration("0102", "const", "0")  # a factor of omega, so its break lies in the tail
-    for n in (1, 2, 3):
-        with pytest.raises(UncertifiedConfigurationError):
-            renorm_power(s3, V0, x, n, "brute-force")
-    with pytest.raises(UncertifiedConfigurationError):
-        renorm_power(s3, V0, x, 3)
+    for n, mode in [(n, "brute-force") for n in range(4)] + [(0, "closed-form"), (3, "closed-form")]:
+        with pytest.raises(UncertifiedConfigurationError, match="all 4 letters lie in the language"):
+            renorm_power(s3, V0, x, n, mode)
+    with pytest.raises(UncertifiedConfigurationError, match="all 4 letters lie in the language"):
+        verify_fixed_point(s3, [x])
 
 
 # -- the break sweep of brute-force renormalization ---------------------------
@@ -313,7 +313,7 @@ def test_break_sweep_equals_one_bisection_per_start(k, seed, data):
     letters = data.draw(st.integers(1, 8) | st.integers(1, 4 * block + 40), label="letters")
     breaks, word = _sweep_breaks(s, x, n, power_prefix(s, x, n, letters)[:letters], count)
     assert word == power_prefix(s, x, n, len(word))[: len(word)]
-    assert breaks == [brute_delta(s, word, j) for j in range(count)]
+    assert breaks == [brute_delta(s, word[j:]) for j in range(count)]
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (3, 3), (3, 9), (4, 6)])
@@ -334,7 +334,7 @@ def test_break_sweep_makes_one_failing_query_per_later_start(k, n, monkeypatch):
         block = lengths[int(x.head[0])]
         word = power_prefix(s, x, n, 2 * (sum(lengths[int(c)] for c in x.head) + s.ladder_length(n)))
         queries.clear()
-        brute_delta(s, word, 0)
+        brute_delta(s, word)
         bisection = len(queries)
         queries.clear()
         breaks, swept = _sweep_breaks(s, x, n, word, block)

@@ -59,7 +59,7 @@ def test_growth_lengths(s3):
 
 def test_gamma_proportional_to_eigenvector(s3):
     g = growth_decomposition(s3)
-    v = left_eigenvector(3)
+    v = left_eigenvector(3, perron_root(3))
     ratios = g.gamma / v
     assert np.ptp(ratios) < 1e-9
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from kbonacci import Configuration, Substitution, build_language, in_language, kbonacci
 from kbonacci.errors import BudgetExceededError, OutOfIndexError
-from kbonacci.recognition import delta
+from kbonacci.recognition import maximal_prefix
 
 
 def naive_factors(s, depth, window=4000):
@@ -132,7 +132,7 @@ def test_non_primitive_substitution_is_rejected(images, time_limit):
             with pytest.raises(ValueError):
                 in_language(s, u)
         with pytest.raises(ValueError):
-            delta(s, Configuration("0000", "const", "0"))
+            maximal_prefix(s, Configuration("0000", "const", "0"))
         with pytest.raises(ValueError):
             build_language(s, 3)
 
