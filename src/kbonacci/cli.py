@@ -81,10 +81,8 @@ def _load_configurations(args: argparse.Namespace, s: Substitution) -> list[Conf
     if args.config:
         with open(args.config) as fh:
             configs = [Configuration.from_text(line) for line in fh if line.strip()]
-        letters = {str(a) for a in range(s.k)}
         for x in configs:
-            if not x.in_subshift and not set(x.head + str(x.tail_data)) <= letters:
-                raise ValueError(f"configuration {x.to_text()!r} uses letters outside the alphabet of size {s.k}")
+            x.check_letters(s.k)
         return configs
     return sample_configurations(s, args.samples, args.seed)
 
@@ -225,83 +223,70 @@ def cmd_verify(args, s: Substitution, w: CsvWriter) -> int:
 
 # -- argument wiring -----------------------------------------------------------
 
-
-def _common(p: argparse.ArgumentParser, seed=True):
-    p.add_argument("--k", type=int, default=3, help="k-bonacci parameter (>= 2)")
-    p.add_argument("--substitution", help="substitution file overriding --k")
-    p.add_argument("--out", help="output path (default: stdout)")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled configurations")
-
-
-def _lang_options(p: argparse.ArgumentParser):
-    _common(p, seed=False)
-    p.add_argument("--depth", type=non_negative_int, default=12)
-
-
-def _delta_options(p: argparse.ArgumentParser):
-    _common(p)
-    p.add_argument("--samples", type=non_negative_int, default=10)
-    p.add_argument("--n-max", type=non_negative_int, default=6)
-    p.add_argument("--config", help="file of configuration lines (head=... tail=...)")
-
-
-def _recog_options(p: argparse.ArgumentParser):
-    _common(p, seed=False)
-    p.add_argument("--n-max", type=non_negative_int, default=6)
-    p.add_argument("--window", type=non_negative_int, default=100_000)
-
-
-def _spectral_options(p: argparse.ArgumentParser):
-    _common(p, seed=False)
-
-
-def _renorm_options(p: argparse.ArgumentParser):
-    _common(p)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--n-max", type=non_negative_int, default=20)
-    p.add_argument("--samples", type=non_negative_int, default=5)
-    p.add_argument("--config", help="file of configuration lines")
-    p.add_argument("--mode", choices=[*MODES, "study"], default="study")
-
-
-def _pressure_options(p: argparse.ArgumentParser):
-    _common(p, seed=False)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--depth", type=non_negative_int, default=10)
-    p.add_argument("--beta-grid", type=_parse_beta_grid, default=default_beta_grid())
-    p.add_argument("--tol", type=positive_finite_float, default=DEFAULT_TOL)
-    p.add_argument("--statistic", choices=["raw", "excess"], default="raw")
-
-
-def _verify_options(p: argparse.ArgumentParser):
-    _common(p, seed=False)
-    p.add_argument("--suites", help="comma-separated suite names (default: all)")
-
+# Each command's options as (flag, type, default, choices, help), in help
+# order.  A callable default makes a fresh value per parse.  No str default
+# has a type: argparse would convert it and the table path would not.
+_COMMON = (
+    ("--k", int, 3, None, "k-bonacci parameter (>= 2)"),
+    ("--substitution", None, None, None, "substitution file overriding --k"),
+    ("--out", None, None, None, "output path (default: stdout)"),
+)
+_SEED = (("--seed", int, 0, None, "seed for sampled configurations"),)
+_ALPHA = (("--alpha", float, 1.0, None, None),)
 
 COMMANDS = {
-    "lang": ("complexity and special-word tables", cmd_lang, _lang_options),
-    "delta": ("break positions and closed-form checks", cmd_delta, _delta_options),
-    "recog": ("cut-point scans of the fixed point", cmd_recog, _recog_options),
-    "spectral": ("Perron data and growth coefficients", cmd_spectral, _spectral_options),
-    "renorm": ("renormalization iterates", cmd_renorm, _renorm_options),
-    "pressure": ("pressure curves and transition report", cmd_pressure, _pressure_options),
-    "verify": ("run the property suites", cmd_verify, _verify_options),
+    "lang": ("complexity and special-word tables", cmd_lang, _COMMON + (
+        ("--depth", non_negative_int, 12, None, None),
+    )),
+    "delta": ("break positions and closed-form checks", cmd_delta, _COMMON + _SEED + (
+        ("--samples", non_negative_int, 10, None, None),
+        ("--n-max", non_negative_int, 6, None, None),
+        ("--config", None, None, None, "file of configuration lines (head=... tail=...)"),
+    )),
+    "recog": ("cut-point scans of the fixed point", cmd_recog, _COMMON + (
+        ("--n-max", non_negative_int, 6, None, None),
+        ("--window", non_negative_int, 100_000, None, None),
+    )),
+    "spectral": ("Perron data and growth coefficients", cmd_spectral, _COMMON),
+    "renorm": ("renormalization iterates", cmd_renorm, _COMMON + _SEED + _ALPHA + (
+        ("--n-max", non_negative_int, 20, None, None),
+        ("--samples", non_negative_int, 5, None, None),
+        ("--config", None, None, None, "file of configuration lines"),
+        ("--mode", None, "study", (*MODES, "study"), None),
+    )),
+    "pressure": ("pressure curves and transition report", cmd_pressure, _COMMON + _ALPHA + (
+        ("--depth", non_negative_int, 10, None, None),
+        ("--beta-grid", _parse_beta_grid, default_beta_grid, None, None),
+        ("--tol", positive_finite_float, DEFAULT_TOL, None, None),
+        ("--statistic", None, "raw", ("raw", "excess"), None),
+    )),
+    "verify": ("run the property suites", cmd_verify, _COMMON + (
+        ("--suites", None, None, None, "comma-separated suite names (default: all)"),
+    )),
 }
+
+
+def _default(value):
+    return value() if callable(value) else value
+
+
+def _add_options(parser: argparse.ArgumentParser, options: tuple) -> None:
+    for flag, type_, default, choices, help_text in options:
+        parser.add_argument(flag, type=type_, default=_default(default), choices=choices, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, for `--help` and the errors that name
     them all: argparse builds each subparser eagerly, so `main` builds it
-    only when one command's parser cannot answer."""
+    only when neither the option table nor one command's parser can answer."""
     parser = argparse.ArgumentParser(
         prog="kbonacci",
         description="k-bonacci substitution combinatorics and pressure experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, add_options) in COMMANDS.items():
+    for name, (help_text, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_options(p)
+        _add_options(p, options)
         p.set_defaults(func=func)
     return parser
 
@@ -309,18 +294,53 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """One command's parser, built as `add_parser(name, help=...)` builds it
     under the full parser, so its help and error text are the same bytes."""
-    _, func, add_options = COMMANDS[name]
+    _, func, options = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"kbonacci {name}")
-    add_options(parser)
+    _add_options(parser, options)
     parser.set_defaults(func=func, command=name)
     return parser
 
 
+def _read_options(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """A well-formed command's options, read off its table with no parser:
+    exact flags, each at most once, as `--flag value` or `--flag=value` with
+    a value that is not empty and does not start with "-", converted by the
+    option's type and within its choices.  None for anything else, which
+    argparse answers with its own text."""
+    _, func, options = COMMANDS[name]
+    specs = {spec[0]: spec for spec in options}
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in specs or flag in given:
+            return None
+        if not eq:
+            value = next(tokens, "")
+        if not value or value.startswith("-"):
+            return None
+        _, type_, _, choices, _ = specs[flag]
+        if type_ is not None:
+            try:
+                value = type_(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    values = {flag[2:].replace("-", "_"): given[flag] if flag in given else _default(default)
+              for flag, _, default, _, _ in options}
+    return argparse.Namespace(**values, func=func, command=name)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """A named command is parsed by its own parser. The full parser answers
-    the rest: no command, `--help`, and leftover arguments, which it reports
-    under its own usage line."""
+    """A named command is read off its option table, or else parsed by its
+    own parser. The full parser answers the rest: no command, `--help`, and
+    leftover arguments, which it reports under its own usage line."""
     if argv and argv[0] in COMMANDS:
+        args = _read_options(argv[0], argv[1:])
+        if args is not None:
+            return args
         args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
@@ -339,6 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except OverflowError:
+        # float(delta) ** alpha in renorm and pressure, the one float power a command can overflow
+        print(f"error: --alpha {args.alpha:.12g} is too large: delta**alpha overflows a float", file=sys.stderr)
+        return EXIT_USAGE
     except (KbonacciError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

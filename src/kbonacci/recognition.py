@@ -50,6 +50,11 @@ class Configuration:
     def in_subshift(self) -> bool:
         return self.tail_kind == "orbit"
 
+    def check_letters(self, k: int) -> None:
+        """Raise ValueError if the head or the tail uses a letter outside 0..k-1."""
+        if not self.in_subshift and not set(self.head + str(self.tail_data)) <= {str(a) for a in range(k)}:
+            raise ValueError(f"configuration {self.to_text()!r} uses letters outside the alphabet of size {k}")
+
     def prefix(self, s: Substitution, length: int) -> str:
         """First `length` letters of the configuration."""
         if length < 0:
@@ -137,11 +142,12 @@ def maximal_prefix(s: Substitution, x: Configuration) -> str:
     """The longest language prefix w of x, so delta(x) = |w|.
 
     Raises ValueError on the subshift, where every prefix is in the
-    language, and UncertifiedConfigurationError if the head does not
-    contain its break.
+    language, and on a letter outside the alphabet of s, and
+    UncertifiedConfigurationError if the head does not contain its break.
     """
     if x.in_subshift:
         raise ValueError("operation requires a configuration outside the subshift")
+    x.check_letters(s.k)
     return x.head[: brute_delta(s, x.head)]
 
 

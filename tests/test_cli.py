@@ -122,7 +122,9 @@ ANSWERED_BY_THE_FULL_PARSER = [["--help"], ["bogus"], [], ["delta", "--bogus"], 
                                   ["renorm", "--mode", "x"], ["lang", "--k", "2", "--depth", "3"],
                                   ["lang", "--dep", "3"], ["lang", "--k=2", "--depth", "3"],
                                   ["lang", "--depth", "3", "stray"], ["lang", "--", "--k", "2"],
-                                  ["pressure", "--depth", "x"], ["-h", "--k"]])
+                                  ["pressure", "--depth", "x"], ["-h", "--k"],
+                                  ["lang", "--depth", "3", "--depth", "4"], ["delta", "--seed", "-3"],
+                                  ["pressure", "--beta-grid=0.01:64:8"]])
 def test_main_answers_as_with_the_full_parser(argv, monkeypatch):
     built = []
     build = cli.build_parser
@@ -133,6 +135,37 @@ def test_main_answers_as_with_the_full_parser(argv, monkeypatch):
     assert outcome(argv) == answer
     if argv == ["delta", "--bogus"]:
         assert answer[2].startswith("usage: kbonacci [-h] {lang,delta,recog,spectral,renorm,pressure,verify} ...\n")
+
+
+# One well-formed command of each kind the benchmark catalogue runs, small.
+WELL_FORMED = [["lang", "--k", "3", "--depth", "30"],
+               ["delta", "--k", "3", "--samples", "2", "--n-max", "10", "--seed", "1"],
+               ["recog", "--k", "2", "--n-max", "6", "--window", "2000"],
+               ["spectral", "--k", "3"],
+               ["renorm", "--mode", "brute-force", "--k", "2", "--n-max", "3", "--samples", "1", "--alpha", "0.5"],
+               ["renorm", "--mode", "study", "--k", "3", "--n-max", "8", "--alpha", "2", "--seed", "3"],
+               ["renorm", "--mode=closed-form", "--k=3", "--n-max=5", "--samples=2"],
+               ["pressure", "--k", "2", "--depth", "8", "--alpha", "1", "--statistic", "excess"],
+               ["verify", "--k", "2", "--suites", "language,recognizability"]]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED)
+def test_a_well_formed_command_builds_no_parser(argv, monkeypatch):
+    answer = outcome(argv)
+    assert answer[0] == 0, answer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert outcome(argv) == answer
+
+
+def test_no_option_has_a_str_default_and_a_type():
+    # argparse converts a str default through the type; the option table does not
+    for name, (_, _, options) in cli.COMMANDS.items():
+        for flag, type_, default, _, _ in options:
+            assert not (type_ is not None and isinstance(default, str)), (name, flag)
 
 
 def test_usage_error_exit_code():
@@ -349,6 +382,25 @@ def test_non_finite_alpha_is_a_usage_error(command, alpha, capsys):
     assert_usage_error(capsys, main([*command, "--k", "2", "--alpha", alpha]))
 
 
+@pytest.mark.parametrize("alpha", ["400", "1e300"])
+@pytest.mark.parametrize("command", [["pressure", "--depth", "10"],
+                                     ["renorm", "--mode", "study", "--n-max", "3"],
+                                     ["renorm", "--mode", "brute-force", "--n-max", "3"]])
+def test_alpha_whose_power_overflows_a_float_is_a_usage_error(command, alpha, capsys):
+    # float(delta) ** alpha past the largest float
+    code = main([*command, "--k", "2", "--alpha", alpha])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.splitlines() == [f"error: --alpha {float(alpha):.12g} is too large: delta**alpha overflows a float"]
+
+
+def test_closed_form_renorm_takes_an_alpha_whose_power_would_overflow(capsys):
+    code, out = run(capsys, "renorm", "--mode", "closed-form", "--k", "2", "--alpha", "400", "--n-max", "3",
+                    "--samples", "1")
+    assert code == 0
+    assert out.splitlines()[2:] == ["2,400,3,0,0,closed-form"]
+
+
 BAD_CONFIG_LINES = ["head=0190 tail=const:0", "head=0000 tail=periodic:012",
                     "head=0000 tail=const:", "head=0000 tail=const:01", "head= tail=orbit:-3"]
 
@@ -445,7 +497,7 @@ def counts(large: str):
     return st.sampled_from(["-1", "0", "1", "2", large, "x"])
 
 
-ALPHAS = st.sampled_from(["1", "0.5", "2", "0", "-1", "nan", "inf", "x"])
+ALPHAS = st.sampled_from(["1", "0.5", "2", "0", "-1", "nan", "inf", "x", "400", "1e300"])
 COMMAND_OPTIONS = {
     "lang": {"depth": counts("60")},
     "delta": {"samples": counts("30"), "n-max": counts("40"), "seed": st.sampled_from(["0", "7", "-3"]),
@@ -486,17 +538,22 @@ def command_lines(draw):
     command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
     options = {"k": st.integers(-1, 11).map(str), "substitution": st.sampled_from(sorted(SUBSTITUTION_FILES)),
                "out": st.sampled_from(["ok", "missing-dir"]), **COMMAND_OPTIONS[command]}
-    return command, {name: draw(values) for name, values in options.items()
-                     if name in SIZES or draw(st.booleans())}
+    chosen = [(name, draw(values)) for name, values in options.items() if name in SIZES or draw(st.booleans())]
+    if chosen and draw(st.integers(0, 9)) == 0:
+        # a repeated flag: argparse keeps the last value, and the option table leaves it to argparse
+        name = draw(st.sampled_from([name for name, _ in chosen]))
+        chosen.append((name, draw(options[name])))
+    # each option as --name=value or as the two tokens --name value
+    return command, [(name, value, draw(st.booleans())) for name, value in chosen]
 
 
 def fuzz_argv(input_files, command_line) -> list[str]:
     command, chosen = command_line
     argv = [command]
-    for name, value in chosen.items():
+    for name, value, joined in chosen:
         if name in ("substitution", "config", "out"):
             value = input_files[name, value]
-        argv.append(f"--{name}={value}")
+        argv += [f"--{name}={value}"] if joined else [f"--{name}", str(value)]
     return argv
 
 

@@ -298,6 +298,21 @@ def test_powers_reject_a_head_without_its_break(s3):
         verify_fixed_point(s3, [x])
 
 
+@pytest.mark.parametrize("x", [Configuration("0102", "const", "0"), Configuration("0110", "const", "2"),
+                               Configuration("0110", "periodic", "012")])
+def test_entry_points_reject_letters_outside_the_alphabet(s2, x):
+    # at k = 2 a letter 2 used to reach the closed form, which read a value
+    # off the certified prefix, and an IndexError in brute-force mode
+    outside = "uses letters outside the alphabet of size 2"
+    for n in range(4):
+        for mode in MODES:
+            with pytest.raises(ValueError, match=outside):
+                renorm_power(s2, V0, x, n, mode)
+    for entry in (maximal_prefix, fixed_point_U, lambda s, x: convergence_study(s, V0, x, n_max=3)):
+        with pytest.raises(ValueError, match=outside):
+            entry(s2, x)
+
+
 # -- the break sweep of brute-force renormalization ---------------------------
 
 
