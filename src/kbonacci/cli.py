@@ -35,6 +35,9 @@ EXIT_BUDGET = 3
 
 # --beta-grid points; a grid this size already prints a million CSV rows
 MAX_BETA_GRID_POINTS = 10**6
+# --samples configurations; all are drawn before the first row, and this
+# many already take about 40 s and 0.4 GB at k = 3
+MAX_SAMPLES = 10**6
 
 
 class CsvWriter:
@@ -91,6 +94,13 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def sample_count(text: str) -> int:
+    value = non_negative_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, got {value}")
     return value
 
 
@@ -239,7 +249,7 @@ COMMANDS = {
         ("--depth", non_negative_int, 12, None, None),
     )),
     "delta": ("break positions and closed-form checks", cmd_delta, _COMMON + _SEED + (
-        ("--samples", non_negative_int, 10, None, None),
+        ("--samples", sample_count, 10, None, None),
         ("--n-max", non_negative_int, 6, None, None),
         ("--config", None, None, None, "file of configuration lines (head=... tail=...)"),
     )),
@@ -250,7 +260,7 @@ COMMANDS = {
     "spectral": ("Perron data and growth coefficients", cmd_spectral, _COMMON),
     "renorm": ("renormalization iterates", cmd_renorm, _COMMON + _SEED + _ALPHA + (
         ("--n-max", non_negative_int, 20, None, None),
-        ("--samples", non_negative_int, 5, None, None),
+        ("--samples", sample_count, 5, None, None),
         ("--config", None, None, None, "file of configuration lines"),
         ("--mode", None, "study", (*MODES, "study"), None),
     )),
@@ -270,15 +280,10 @@ def _default(value):
     return value() if callable(value) else value
 
 
-def _add_options(parser: argparse.ArgumentParser, options: tuple) -> None:
-    for flag, type_, default, choices, help_text in options:
-        parser.add_argument(flag, type=type_, default=_default(default), choices=choices, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, for `--help` and the errors that name
-    them all: argparse builds each subparser eagerly, so `main` builds it
-    only when neither the option table nor one command's parser can answer."""
+    """The parser of every command, for whatever the option table does not
+    take: help, usage errors and leftover arguments.  argparse builds each
+    subparser eagerly, so `main` builds it only when the table declines."""
     parser = argparse.ArgumentParser(
         prog="kbonacci",
         description="k-bonacci substitution combinatorics and pressure experiments",
@@ -286,18 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_options(p, options)
+        for flag, type_, default, choices, option_help in options:
+            p.add_argument(flag, type=type_, default=_default(default), choices=choices, help=option_help)
         p.set_defaults(func=func)
-    return parser
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One command's parser, built as `add_parser(name, help=...)` builds it
-    under the full parser, so its help and error text are the same bytes."""
-    _, func, options = COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"kbonacci {name}")
-    _add_options(parser, options)
-    parser.set_defaults(func=func, command=name)
     return parser
 
 
@@ -334,15 +330,11 @@ def _read_options(name: str, tokens: list[str]) -> argparse.Namespace | None:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """A named command is read off its option table, or else parsed by its
-    own parser. The full parser answers the rest: no command, `--help`, and
-    leftover arguments, which it reports under its own usage line."""
+    """A named command is read off its option table; the full parser
+    answers whatever the table declines, with argparse's own text."""
     if argv and argv[0] in COMMANDS:
         args = _read_options(argv[0], argv[1:])
         if args is not None:
-            return args
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
             return args
     return build_parser().parse_args(argv)
 

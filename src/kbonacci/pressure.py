@@ -139,9 +139,6 @@ def _log_partition(S: np.ndarray, betas: np.ndarray) -> np.ndarray:
 class PressureCurve:
     """Per-beta pressure bracket at a fixed cylinder depth."""
 
-    k: int
-    alpha: float
-    depth: int
     betas: tuple[float, ...]
     lows: tuple[float, ...]
     highs: tuple[float, ...]
@@ -196,9 +193,6 @@ def pressure_curve(
     lows = np.maximum(_log_partition(s_hi, betas) / n, 0.0)
     highs = _log_partition(s_lo, betas) / n
     return PressureCurve(
-        k=s.k,
-        alpha=V.alpha,
-        depth=n,
         betas=tuple(float(b) for b in betas),
         lows=tuple(lows.tolist()),
         highs=tuple(highs.tolist()),

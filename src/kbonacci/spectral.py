@@ -74,13 +74,11 @@ def tribonacci_cardan() -> float:
 
 @dataclass(frozen=True)
 class GrowthDecomposition:
-    """|s^n(l)| = gamma_l lambda^n + r_l(n): coefficients and remainders."""
+    """|s^n(l)| = gamma_l lambda^n + r_l(n): the coefficients and the
+    decay rate of the remainders."""
 
-    k: int
     lam: float
     gamma: np.ndarray                 # per letter
-    lengths: tuple[tuple[int, ...], ...]   # lengths[n][l] = |s^n(l)|, exact
-    remainders: np.ndarray            # remainders[n, l] = r_l(n)
     theta_hat: float                  # fitted decay rate of |r_l(n)|
 
 
@@ -105,7 +103,7 @@ def growth_decomposition(s: Substitution) -> GrowthDecomposition:
     if len(ns) >= 2:
         slope = np.polyfit(ns, logs, 1)[0]
         theta_hat = math.exp(slope)
-    return GrowthDecomposition(s.k, lam, gamma, tuple(lengths), remainders, theta_hat)
+    return GrowthDecomposition(lam, gamma, theta_hat)
 
 
 def letter_frequencies(s: Substitution) -> np.ndarray:

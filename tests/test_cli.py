@@ -83,18 +83,11 @@ def test_help_lists_every_command(capsys):
     assert len(cli.COMMANDS) == 7
     for name, (help_text, _, _) in cli.COMMANDS.items():
         assert f"    {name:<20}{help_text}\n" in out
-
-
-def test_a_parser_built_for_one_command_has_that_commands_options():
-    def options(parser):
-        return [(a.option_strings, a.dest, repr(a.default), a.choices, a.type, a.help) for a in parser._actions]
-
+    # each command's usage and errors are written under its own name
     full = _subparsers(cli.build_parser())
     assert list(full) == list(cli.COMMANDS)
     for name in cli.COMMANDS:
-        alone = cli._command_parser(name)
-        assert alone.prog == full[name].prog == f"kbonacci {name}"
-        assert options(alone) == options(full[name])
+        assert full[name].prog == f"kbonacci {name}"
 
 
 def outcome(argv):
@@ -112,12 +105,9 @@ def parse_with_the_full_parser(argv):
     return cli.build_parser().parse_args(argv)
 
 
-# The full parser answers help for all commands, no command, an unknown one
-# and leftover arguments, which it reports under its own usage line.
-ANSWERED_BY_THE_FULL_PARSER = [["--help"], ["bogus"], [], ["delta", "--bogus"], ["lang", "--depth", "3", "stray"],
-                               ["lang", "--", "--k", "2"], ["-h", "--k"]]
-
-
+# The full parser answers whatever the option table declines: help, no
+# command, an unknown one, an abbreviated, repeated or unknown flag, a bad or
+# negative value, "--" and leftover arguments.
 @pytest.mark.parametrize("argv", [["--help"], ["delta", "--help"], ["bogus"], [], ["delta", "--bogus"],
                                   ["renorm", "--mode", "x"], ["lang", "--k", "2", "--depth", "3"],
                                   ["lang", "--dep", "3"], ["lang", "--k=2", "--depth", "3"],
@@ -130,7 +120,8 @@ def test_main_answers_as_with_the_full_parser(argv, monkeypatch):
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or build())
     answer = outcome(argv)
-    assert built == ([argv] if argv in ANSWERED_BY_THE_FULL_PARSER else [])
+    table = cli._read_options(argv[0], argv[1:]) if argv and argv[0] in cli.COMMANDS else None
+    assert built == ([argv] if table is None else [])
     monkeypatch.setattr(cli, "_parse_args", parse_with_the_full_parser)
     assert outcome(argv) == answer
     if argv == ["delta", "--bogus"]:
@@ -350,6 +341,26 @@ def test_non_primitive_substitution_is_a_usage_error(command, tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("samples", [str(cli.MAX_SAMPLES + 1), "100000000000000000000000"])
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize("command", [["delta", "--k", "2"],
+                                     ["renorm", "--k", "2", "--n-max", "3", "--mode", "closed-form"]])
+def test_samples_past_the_cap_is_a_usage_error(command, joined, samples, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("configurations were sampled")
+
+    # a count past the cap is refused while parsing, before any sampling
+    monkeypatch.setattr(cli, "sample_configurations", refuse)
+    argv = command + ([f"--samples={samples}"] if joined else ["--samples", samples])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert_usage_error(capsys, exc.value.code)
+
+
+def test_samples_at_the_cap_parse():
+    assert cli._read_options("delta", ["--samples", str(cli.MAX_SAMPLES)]).samples == cli.MAX_SAMPLES
+
+
 def test_empty_beta_grid_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pressure", "--beta-grid", "0.01:64:0"])
@@ -497,14 +508,16 @@ def counts(large: str):
     return st.sampled_from(["-1", "0", "1", "2", large, "x"])
 
 
+# refused while parsing: sampling that many configurations would not end
+PAST_THE_SAMPLES_CAP = st.sampled_from([str(cli.MAX_SAMPLES + 1), "100000000000000000000000"])
 ALPHAS = st.sampled_from(["1", "0.5", "2", "0", "-1", "nan", "inf", "x", "400", "1e300"])
 COMMAND_OPTIONS = {
     "lang": {"depth": counts("60")},
-    "delta": {"samples": counts("30"), "n-max": counts("40"), "seed": st.sampled_from(["0", "7", "-3"]),
-              "config": st.sampled_from(sorted(CONFIG_FILES))},
+    "delta": {"samples": counts("30") | PAST_THE_SAMPLES_CAP, "n-max": counts("40"),
+              "seed": st.sampled_from(["0", "7", "-3"]), "config": st.sampled_from(sorted(CONFIG_FILES))},
     "recog": {"n-max": counts("40"), "window": st.sampled_from(["-1", "0", "1", "50", "20000", str(10**9)])},
     "spectral": {},
-    "renorm": {"alpha": ALPHAS, "n-max": counts("5"), "samples": counts("3"),
+    "renorm": {"alpha": ALPHAS, "n-max": counts("5"), "samples": counts("3") | PAST_THE_SAMPLES_CAP,
                "mode": st.sampled_from(["closed-form", "brute-force", "study", "nope"]),
                "config": st.sampled_from(sorted(CONFIG_FILES))},
     "pressure": {"alpha": ALPHAS, "depth": counts("40"),
