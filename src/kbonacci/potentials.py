@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .substitution import Substitution
 
 
-@dataclass(frozen=True)
-class CylinderFunction:
+class CylinderFunction(NamedTuple("CylinderFunction", [("order", int), ("table", Mapping), ("default", "float | None")])):
     """A locally constant function of finite order on the full shift.
 
     The value at x only depends on the first `order` letters; `table`
@@ -20,17 +18,15 @@ class CylinderFunction:
     listed explicitly.
     """
 
-    order: int
-    table: Mapping[str, float] = field(default_factory=dict)
-    default: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __new__(cls, order: int, table: Mapping[str, float], default: float | None = None):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        for key in self.table:
-            if len(key) != self.order:
-                raise ValueError(f"table key {key!r} does not have length {self.order}")
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        for key in table:
+            if len(key) != order:
+                raise ValueError(f"table key {key!r} does not have length {order}")
+        return super().__new__(cls, order, MappingProxyType(dict(table)), default)
 
     @classmethod
     def constant(cls, value: float) -> "CylinderFunction":
@@ -74,21 +70,19 @@ class CylinderFunction:
         return self.range_on_prefix("", k)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple("Potential", [("alpha", float), ("g", CylinderFunction), ("h", CylinderFunction)])):
     """V(x) = (g(x) + h(x)) / delta(x)^alpha, zero on the subshift.
 
     g must be positive everywhere; h must be nonnegative and vanish on
     every language word of its order (hence on the subshift).
     """
 
-    alpha: float
-    g: CylinderFunction
-    h: CylinderFunction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
+    def __new__(cls, alpha: float, g: CylinderFunction, h: CylinderFunction):
+        if not 0 < alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
+        return super().__new__(cls, alpha, g, h)
 
     @property
     def order(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,19 +135,13 @@ def _log_partition(S: np.ndarray, betas: np.ndarray) -> np.ndarray:
 # -- pressure curves and the transition point ---------------------------------
 
 
-@dataclass(frozen=True)
-class PressureCurve:
+class PressureCurve(NamedTuple):
     """Per-beta pressure bracket at a fixed cylinder depth."""
 
     betas: tuple[float, ...]
     lows: tuple[float, ...]
     highs: tuple[float, ...]
     floor: float  # log(#L_n)/n, the asymptote of the upper estimate
-
-    def __post_init__(self):
-        for lo, hi in zip(self.lows, self.highs):
-            if lo > hi + 1e-12:
-                raise ValueError("pressure bracket inverted")
 
     def slope_increments(self) -> np.ndarray:
         """Increments of the divided differences of the upper estimate;
@@ -192,6 +186,8 @@ def pressure_curve(
     floor = math.log(s.language(n).complexity(n)) / n
     lows = np.maximum(_log_partition(s_hi, betas) / n, 0.0)
     highs = _log_partition(s_lo, betas) / n
+    if np.any(lows > highs + 1e-12):
+        raise ValueError("pressure bracket inverted")
     return PressureCurve(
         betas=tuple(float(b) for b in betas),
         lows=tuple(lows.tolist()),
@@ -200,8 +196,7 @@ def pressure_curve(
     )
 
 
-@dataclass(frozen=True)
-class BetaCReport:
+class BetaCReport(NamedTuple):
     """Outcome of the transition-point search on a beta grid.
 
     `statistic` names the crossing statistic: "raw" uses the upper

@@ -7,7 +7,7 @@ recognizability scans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .substitution import Substitution, require_kbonacci
 from .words import in_language
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple("Configuration", [("head", str), ("tail_kind", str), ("tail_data", "str | int")])):
     """A point of the full shift: finite head plus an eventually simple tail.
 
     Tail kinds:
@@ -31,20 +30,19 @@ class Configuration:
     read off without any hidden search.
     """
 
-    head: str
-    tail_kind: str = "const"
-    tail_data: str | int = "0"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tail_kind not in ("const", "periodic", "orbit"):
-            raise ValueError(f"unknown tail kind {self.tail_kind!r}")
-        if self.tail_kind == "orbit":
-            if int(self.tail_data) < 0:
-                raise ValueError(f"orbit offset must be nonnegative, got {self.tail_data}")
-        elif self.tail_kind == "const" and len(str(self.tail_data)) != 1:
-            raise ValueError(f"const tail needs exactly one letter, got {self.tail_data!r}")
-        elif not str(self.tail_data):
+    def __new__(cls, head: str, tail_kind: str, tail_data: str | int):
+        if tail_kind not in ("const", "periodic", "orbit"):
+            raise ValueError(f"unknown tail kind {tail_kind!r}")
+        if tail_kind == "orbit":
+            if int(tail_data) < 0:
+                raise ValueError(f"orbit offset must be nonnegative, got {tail_data}")
+        elif tail_kind == "const" and len(str(tail_data)) != 1:
+            raise ValueError(f"const tail needs exactly one letter, got {tail_data!r}")
+        elif not str(tail_data):
             raise ValueError("periodic tail needs a nonempty period word")
+        return super().__new__(cls, head, tail_kind, tail_data)
 
     @property
     def in_subshift(self) -> bool:
@@ -75,14 +73,27 @@ class Configuration:
 
     @classmethod
     def from_text(cls, text: str) -> "Configuration":
-        fields = dict(item.split("=", 1) for item in text.split())
-        head = fields.get("head", "")
+        """The configuration of a line `head=<word> tail=<kind>:<data>`, each
+        key at most once; an orbit tail needs no head."""
+        line = text.strip()
+        fields = {}
+        for item in text.split():
+            key, eq, value = item.partition("=")
+            if not eq or key not in ("head", "tail"):
+                raise ValueError(f"configuration {line!r}: {item!r} is not head=... or tail=...")
+            if key in fields:
+                raise ValueError(f"configuration {line!r} repeats {key}=")
+            fields[key] = value
         if "tail" not in fields:
-            raise ValueError(f"configuration {text.strip()!r} has no tail=")
+            raise ValueError(f"configuration {line!r} has no tail=")
         kind, _, data = fields["tail"].partition(":")
         if kind == "orbit":
-            return cls("", "orbit", int(data))
-        return cls(head, kind, data)
+            try:
+                offset = int(data)
+            except ValueError:
+                raise ValueError(f"configuration {line!r}: orbit offset {data!r} is not an integer") from None
+            return cls("", "orbit", offset)
+        return cls(fields.get("head", ""), kind, data)
 
 
 def power_prefix(s: Substitution, x: Configuration, n: int, length: int) -> str:
@@ -167,17 +178,14 @@ def delta_after_power(s: Substitution, w: str, n: int) -> int:
     return sum(lengths[a] * w.count(str(a)) for a in range(s.k)) + s.ladder_length(n - 1)
 
 
-@dataclass(frozen=True, eq=False)
 class CutPointSet:
     """Sorted cut points of the n-th image blocks of the fixed point in [0, W),
     held as an int64 array."""
 
-    n: int
-    window: int
-    starts: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "starts", np.asarray(self.starts, dtype=np.int64))
+    def __init__(self, n: int, window: int, starts):
+        self.n = n
+        self.window = window
+        self.starts: np.ndarray = np.asarray(starts, dtype=np.int64)
 
 
 def cut_points(s: Substitution, n: int, window: int) -> CutPointSet:
@@ -215,8 +223,7 @@ def verify_recognizability(s: Substitution, cuts: CutPointSet) -> bool:
     return np.array_equal(s.fixed_point_occurrences(n, window), usable)
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     """Tribonacci sanity report: unique de-substitution and the 00-words."""
 
     words_checked: int

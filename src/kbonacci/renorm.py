@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -238,8 +237,7 @@ def verify_fixed_point(s: Substitution, samples: Sequence[Configuration]) -> flo
 # -- convergence studies -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(NamedTuple):
     """Table of (n, R^n V(x), method) rows with a verdict on the tail
     behaviour, and the fixed point U(x) read off the same longest language
     prefix of x."""

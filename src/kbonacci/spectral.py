@@ -10,7 +10,7 @@ that its first entry equals lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def tribonacci_cardan() -> float:
     return (a + b + 1.0) / 3.0
 
 
-@dataclass(frozen=True)
-class GrowthDecomposition:
+class GrowthDecomposition(NamedTuple):
     """|s^n(l)| = gamma_l lambda^n + r_l(n): the coefficients and the
     decay rate of the remainders."""
 

@@ -8,8 +8,7 @@ the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from .spectral import left_eigenvector, perron_root, tribonacci_cardan
 from .substitution import Substitution, check_recurrence, require_kbonacci
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

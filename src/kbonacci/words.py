@@ -14,7 +14,6 @@ N raise instead of recomputing, so the cost profile stays predictable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +50,6 @@ class _SortedLayer:
         return [w[:n] for w in self.heads[1 + self.below[n] : 1 + self.below[n + 1]]]
 
 
-@dataclass(frozen=True, eq=False)
 class LanguageIndex:
     """The factor language of a substitution up to depth N, read off its
     sorted length-N factors.
@@ -64,9 +62,10 @@ class LanguageIndex:
     reversals of T describe the left extensions the same way.
     """
 
-    depth: int
-    _top: _SortedLayer = field(repr=False)
-    _layers: dict[int, frozenset[str]] = field(default_factory=dict, repr=False)
+    def __init__(self, depth: int, top: _SortedLayer):
+        self.depth = depth
+        self._top = top
+        self._layers: dict[int, frozenset[str]] = {}
 
     def _check(self, n: int) -> None:
         if n < 0 or n > self.depth:

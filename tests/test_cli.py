@@ -209,6 +209,24 @@ def test_the_runtime_does_not_import_mpmath():
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
+def test_importing_the_cli_loads_no_dataclasses():
+    # the package's records are NamedTuples and plain classes, so a fresh
+    # process pays for no generated dataclass methods; numpy and argparse
+    # are imported first, so the check holds whether or not they load it
+    script = "\n".join([
+        "import sys",
+        "import argparse, numpy",
+        "before = set(sys.modules)",
+        "import kbonacci.cli",
+        "print(' '.join(sorted(set(sys.modules) - before)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "kbonacci.cli" in added and "dataclasses" not in added
+
+
 @pytest.mark.parametrize("argv, bisections", [(["delta", "--k", "3", "--samples", "4", "--n-max", "10"], 4),
                                              (["verify", "--k", "3", "--suites", "delta"], 8),
                                              (["renorm", "--k", "3", "--samples", "2", "--n-max", "10"], 2),
@@ -424,6 +442,28 @@ def test_bad_configuration_is_a_usage_error(command, line, tmp_path, capsys):
     assert_usage_error(capsys, main([command, "--k", "2", "--config", str(cfg)]))
 
 
+# each malformed configuration line, with the text its one error line names
+MALFORMED_CONFIG_LINES = {
+    "bad": "'bad'",
+    "head=0000 tail=const:0 extra": "'extra'",
+    "haed=0000 tail=const:0": "'haed=0000'",
+    "head=0000 tail=const:0 seed=3": "'seed=3'",
+    "head=0000 head=1 tail=const:0": "repeats head=",
+    "head= tail=orbit:x": "orbit offset 'x'",
+}
+
+
+@pytest.mark.parametrize("command", ["delta", "renorm"])
+@pytest.mark.parametrize("line", MALFORMED_CONFIG_LINES)
+def test_malformed_configuration_line_names_its_text(command, line, tmp_path, capsys):
+    cfg = tmp_path / "points.txt"
+    cfg.write_text(line + "\n")
+    code = main([command, "--k", "2", "--config", str(cfg)])
+    (error,) = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert error.startswith(f"error: configuration {line!r}") and MALFORMED_CONFIG_LINES[line] in error
+
+
 def test_orbit_configuration_has_no_delta_after_power(tmp_path, capsys):
     cfg = tmp_path / "points.txt"
     cfg.write_text("head= tail=orbit:3\n")
@@ -501,7 +541,7 @@ def test_verify_writes_the_options_line_and_the_same_text_to_out(tmp_path, capsy
 SUBSTITUTION_FILES = {"fib": "2\n01\n0\n", "thue-morse": "2\n01\n10\n", "not-kbonacci": "3\n02\n0\n01\n",
                       "non-primitive": "3\n01\n1\n2\n", "one-letter": "1\n00\n", "garbage": "x\n", "empty": ""}
 CONFIG_FILES = {"good": "head=0000 tail=const:0\n", "no-tail": "head=0000\n", "orbit": "head= tail=orbit:3\n",
-                **{f"bad{i}": line + "\n" for i, line in enumerate(BAD_CONFIG_LINES)}}
+                **{f"bad{i}": line + "\n" for i, line in enumerate([*BAD_CONFIG_LINES, *MALFORMED_CONFIG_LINES])}}
 
 
 def counts(large: str):

@@ -20,6 +20,7 @@ from kbonacci import (
     pressure_curve,
     verify_ladder,
 )
+from kbonacci import pressure
 from kbonacci.errors import BudgetExceededError
 from kbonacci.pressure import _BLOCK_ENTRIES, _TILE_WIDTH, _log_partition
 from kbonacci.potentials import CylinderFunction
@@ -257,10 +258,21 @@ def test_upper_estimate_tightens_with_depth(s2):
         assert all(d <= s + 1e-12 for s, d in zip(shallow, deep))
 
 
+def test_pressure_curve_refuses_an_inverted_bracket(s2, monkeypatch):
+    bounds = pressure.birkhoff_bounds
+    monkeypatch.setattr(pressure, "birkhoff_bounds", lambda *args: bounds(*args)[::-1])
+    with pytest.raises(ValueError, match="^pressure bracket inverted$"):
+        pressure_curve(s2, V0, 6)
+
+
 def test_find_beta_c_no_crossing_at_default_tol(s2):
     report = find_beta_c(s2, V0, 10, tol=1e-3, statistic="raw")
     assert not report.crossed
     assert report.beta_c is None
+    assert (report.tol, report.statistic, report.bracket) == (1e-3, "raw", None)
+    for record, name in ((report, "crossed"), (report.curve, "floor")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 def test_find_beta_c_crossing(s2):

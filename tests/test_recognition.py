@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,26 @@ ONES = Configuration("111", "const", "1")
 def test_configuration_text_roundtrip():
     for x in (ZEROS, Configuration("010", "periodic", "12"), Configuration("", "orbit", 5)):
         assert Configuration.from_text(x.to_text()) == x
+
+
+@pytest.mark.parametrize("args, message", [
+    (("0", "cyclic", "0"), "unknown tail kind 'cyclic'"),
+    (("", "orbit", -1), "orbit offset must be nonnegative, got -1"),
+    (("0", "const", "01"), "const tail needs exactly one letter, got '01'"),
+    (("0", "periodic", ""), "periodic tail needs a nonempty period word"),
+])
+def test_configuration_rejects_a_bad_tail(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Configuration(*args)
+
+
+def test_configurations_compare_by_value_and_are_frozen():
+    assert Configuration("0102", "periodic", "01") == Configuration("0102", "periodic", "01")
+    assert ZEROS != Configuration("0000", "const", "1") and ZEROS != Configuration("000", "const", "0")
+    assert len({ZEROS, Configuration("0000", "const", "0"), ONES}) == 2
+    assert (ZEROS.head, ZEROS.tail_kind, ZEROS.tail_data) == ("0000", "const", "0")
+    with pytest.raises(AttributeError):
+        ZEROS.head = "1"
 
 
 def test_configuration_prefix(s3):
@@ -196,7 +217,10 @@ def test_the_delta_suite_sweep_catches_a_closed_form_off_by_one(k, checks, error
     original = verify.delta_after_power
     monkeypatch.setattr(verify, "delta_after_power", lambda s, w, n: original(s, w, n) + error * (n == s.k + 1))
     (row,) = verify.suite_delta(kbonacci(k))
+    assert (row.suite, row.name) == ("delta", "closed form vs scan")
     assert (row.passed, row.detail) == (error == 0, f"{checks} checks")
+    with pytest.raises(AttributeError):
+        row.passed = True
     assert cli.main(["verify", "--k", str(k), "--suites", "delta"]) == (0 if error == 0 else 1)
     verdict = "PASS" if error == 0 else "FAIL"
     assert f"{verdict} delta: closed form vs scan ({checks} checks)" in capsys.readouterr().out
@@ -360,3 +384,5 @@ def test_appendix_checks():
     assert report.ok
     assert report.words_checked > 50
     assert report.non_unique == ()
+    with pytest.raises(AttributeError):
+        report.all_unique = False

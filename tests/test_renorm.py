@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import mpmath
 import pytest
@@ -41,6 +42,37 @@ def test_potential_validation(s3):
         Potential(1.0, CylinderFunction.constant(1.0), bad_h).validate_for(s3)
     ok_h = CylinderFunction.indicator("000", 1.0)
     Potential(1.0, CylinderFunction.constant(1.0), ok_h).validate_for(s3)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, {}), "order must be >= 1"),
+    ((2, {"01": 1.0, "011": 1.0}), "table key '011' does not have length 2"),
+])
+def test_cylinder_function_rejects_a_bad_order_or_key(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CylinderFunction(*args)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_potential_rejects_an_alpha_not_positive_and_finite(alpha):
+    with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
+        Potential(alpha, CylinderFunction.constant(1.0), CylinderFunction.constant(0.0))
+
+
+def test_potentials_compare_by_value_and_are_frozen():
+    table = {"01": 2.0}
+    g = CylinderFunction(2, table, default=1.0)
+    table["01"] = 3.0  # the function holds a read-only copy
+    assert g("01") == 2.0 and g == CylinderFunction(2, {"01": 2.0}, 1.0)
+    assert g != CylinderFunction(2, {"01": 3.0}, 1.0) and g != CylinderFunction(2, {"01": 2.0})
+    h = CylinderFunction.constant(0.0)
+    assert Potential(0.5, g, h) == Potential(0.5, CylinderFunction(2, {"01": 2.0}, 1.0), h)
+    assert Potential.v0(0.5) != Potential.v0(1.0) and Potential.v0(1.0) == V0
+    for record, name in ((g, "order"), (V0, "alpha")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+    with pytest.raises(TypeError):
+        g.table["01"] = 4.0
 
 
 def test_entry_points_validate_the_potential(s3):
@@ -116,6 +148,11 @@ def test_convergence_study_vanishes_on_the_subshift(s3):
     study = convergence_study(s3, V0, Configuration("", "orbit", 4), n_max=6)
     assert [value for _, value, _ in study.rows] == [0.0] * 7
     assert study.fixed_point == 0
+    alpha, _, verdict, limit, exponent, _ = study  # a record unpacks in field order
+    assert (alpha, verdict, limit, exponent) == (study.alpha, study.verdict, study.limit, study.growth_exponent)
+    assert (alpha, verdict, limit, exponent) == (1.0, "vanishes", 0.0, None)
+    with pytest.raises(AttributeError):
+        study.verdict = "converges"
 
 
 def test_closed_form_matches_brute_force(s3, s2):

@@ -55,6 +55,8 @@ def test_growth_lengths(s3):
     for n in range(20, 35):
         assert s3.power_lengths(n)[0] == pytest.approx(g.gamma[0] * g.lam**n, rel=1e-7)
     assert g.theta_hat < g.lam
+    with pytest.raises(AttributeError):
+        g.lam = 2.0
 
 
 def test_gamma_proportional_to_eigenvector(s3):
