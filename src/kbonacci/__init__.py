@@ -30,7 +30,6 @@ from .pressure import (
 from .recognition import (
     Configuration,
     CutPointSet,
-    advance_break,
     brute_delta,
     cut_points,
     delta_after_power,

@@ -205,7 +205,7 @@ def cmd_pressure(args, s: Substitution, w: CsvWriter) -> int:
     curve = pressure_curve(s, V, args.depth, args.beta_grid)
     report = find_beta_c(s, V, args.depth, tol=args.tol, betas=args.beta_grid, statistic=args.statistic)
     w.row("k", "alpha", "n", "beta", "P_low", "P_high")
-    for beta, lo, hi in curve.rows():
+    for beta, lo, hi in zip(curve.betas, curve.lows, curve.highs):
         w.row(s.k, args.alpha, args.depth, beta, lo, hi)
     if report.crossed:
         w.buffer.write(

@@ -143,18 +143,11 @@ class PressureCurve(NamedTuple):
     highs: tuple[float, ...]
     floor: float  # log(#L_n)/n, the asymptote of the upper estimate
 
-    def slope_increments(self) -> np.ndarray:
-        """Increments of the divided differences of the upper estimate;
-        nonnegative (up to noise) exactly when the curve is convex on
-        the possibly non-uniform grid."""
-        b = np.asarray(self.betas)
-        h = np.asarray(self.highs)
-        slopes = np.diff(h) / np.diff(b)
-        return np.diff(slopes)
-
     @property
     def is_convex(self) -> bool:
-        incs = self.slope_increments()
+        """The increments of the divided differences of the upper estimate
+        are nonnegative (up to noise), on the possibly non-uniform grid."""
+        incs = np.diff(np.diff(self.highs) / np.diff(self.betas))
         return bool(len(incs) == 0 or incs.min() >= -1e-9)
 
     @property
@@ -164,10 +157,6 @@ class PressureCurve(NamedTuple):
     def excess(self) -> np.ndarray:
         """Upper estimate net of the finite-depth floor."""
         return np.asarray(self.highs) - self.floor
-
-    def rows(self):
-        for b, lo, hi in zip(self.betas, self.lows, self.highs):
-            yield b, lo, hi
 
 
 def pressure_curve(

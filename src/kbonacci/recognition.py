@@ -22,8 +22,8 @@ class Configuration(NamedTuple("Configuration", [("head", str), ("tail_kind", st
     Tail kinds:
       * ``const``    -- one letter repeated forever (tail_data: the digit),
       * ``periodic`` -- a finite word repeated forever (tail_data: the word),
-      * ``orbit``    -- the point sigma^offset(fixed point); head is ignored
-                        and the configuration lies in the subshift.
+      * ``orbit``    -- the point sigma^offset(fixed point), with no head;
+                        the configuration lies in the subshift.
 
     For non-orbit configurations the head must contain the break: the
     longest language prefix ends strictly inside the head, so delta is
@@ -36,6 +36,8 @@ class Configuration(NamedTuple("Configuration", [("head", str), ("tail_kind", st
         if tail_kind not in ("const", "periodic", "orbit"):
             raise ValueError(f"unknown tail kind {tail_kind!r}")
         if tail_kind == "orbit":
+            if head:
+                raise ValueError(f"an orbit tail takes no head, got head {head!r}")
             if int(tail_data) < 0:
                 raise ValueError(f"orbit offset must be nonnegative, got {tail_data}")
         elif tail_kind == "const" and len(str(tail_data)) != 1:
@@ -74,7 +76,7 @@ class Configuration(NamedTuple("Configuration", [("head", str), ("tail_kind", st
     @classmethod
     def from_text(cls, text: str) -> "Configuration":
         """The configuration of a line `head=<word> tail=<kind>:<data>`, each
-        key at most once; an orbit tail needs no head."""
+        key at most once; an orbit tail takes no head."""
         line = text.strip()
         fields = {}
         for item in text.split():
@@ -89,11 +91,13 @@ class Configuration(NamedTuple("Configuration", [("head", str), ("tail_kind", st
         kind, _, data = fields["tail"].partition(":")
         if kind == "orbit":
             try:
-                offset = int(data)
+                data = int(data)
             except ValueError:
                 raise ValueError(f"configuration {line!r}: orbit offset {data!r} is not an integer") from None
-            return cls("", "orbit", offset)
-        return cls(fields.get("head", ""), kind, data)
+        try:
+            return cls(fields.get("head", ""), kind, data)
+        except ValueError as exc:
+            raise ValueError(f"configuration {line!r}: {exc}") from None
 
 
 def power_prefix(s: Substitution, x: Configuration, n: int, length: int) -> str:
@@ -127,26 +131,6 @@ def brute_delta(s: Substitution, word: str) -> int:
             f"all {len(word)} letters lie in the language; break position uncertified"
         )
     return lo
-
-
-def advance_break(s: Substitution, word: str, start: int, end: int) -> int:
-    """start + brute_delta(s, word[start:]), given that word[start:end] is in
-    the language.
-
-    Advances end one letter per passing query and stops at the first
-    failing one (membership is prefix-monotone).  Since the language is
-    factorial, the previous start's break end, or start itself if larger,
-    is a valid `end`: a sweep over every start makes one failing query per
-    start plus one per letter the end advances.  Raises if the break is
-    not witnessed inside the word.
-    """
-    while end < len(word) and in_language(s, word[start : end + 1]):
-        end += 1
-    if end == len(word):
-        raise UncertifiedConfigurationError(
-            f"all {end - start} letters lie in the language; break position uncertified"
-        )
-    return end
 
 
 def maximal_prefix(s: Substitution, x: Configuration) -> str:

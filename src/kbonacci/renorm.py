@@ -2,12 +2,12 @@
 
 (RV)(x) sums V over the |s(x_0)| shifts of s(x).  Powers are available
 either by brute force, renorm_power(..., "brute-force"): materialize
-s^n(x) and sweep its breaks with the language oracle, one bisection and
-then one failing query per shift; or in closed form: break positions
-from the shifted delta formula, valid for n >= k, read off the longest
-language prefix of x.  The two paths cross-check each other in the
-tests, and verify_fixed_point checks RU = U by summing U over the same
-break sweep at n = 1.
+s^n(x) and sweep its breaks with the language oracle, one query per
+shift and one bisection where the break end moves; or in closed form:
+break positions from the shifted delta formula, valid for n >= k, read
+off the longest language prefix of x.  The two paths cross-check each
+other in the tests, and verify_fixed_point checks RU = U by summing U
+over the same break sweep at n = 1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import UncertifiedConfigurationError
 from .potentials import Potential
 from .recognition import (
     Configuration,
-    advance_break,
     brute_delta,
     delta_after_power,
     maximal_prefix,
@@ -31,6 +30,7 @@ from .recognition import (
 )
 from .spectral import left_eigenvector, perron_root
 from .substitution import Substitution, require_kbonacci
+from .words import in_language
 
 MODES = ("closed-form", "brute-force")
 
@@ -175,18 +175,21 @@ def _sweep_breaks(s: Substitution, x: Configuration, n: int, word: str, count: i
     """The breaks delta(sigma^j s^n(x)) for j < count, and the prefix of
     s^n(x) they were read off: `word`, doubled while a break reaches its end.
 
-    One bisection at j = 0, then a two-pointer sweep: the break end j + delta_j
-    never decreases in j, so each start resumes at the previous end.
+    The break end j + delta_j never decreases in j, and word[j:end] is in
+    the factorial language, so a later start keeps the previous end unless
+    one membership query shows that it moved; one bisection of word[j:]
+    finds the end at j = 0 and wherever it moved.
     """
     breaks = []
     end = 0
     for j in range(count):
-        while True:
-            try:
-                end = brute_delta(s, word) if j == 0 else advance_break(s, word, j, max(end, j))
-                break
-            except UncertifiedConfigurationError:
-                word = power_prefix(s, x, n, 2 * len(word))
+        if j == 0 or in_language(s, word[j : end + 1]):
+            while True:
+                try:
+                    end = j + brute_delta(s, word[j:])
+                    break
+                except UncertifiedConfigurationError:
+                    word = power_prefix(s, x, n, 2 * len(word))
         breaks.append(end - j)
     return breaks, word
 

@@ -16,7 +16,6 @@ from .errors import UncertifiedConfigurationError
 from .potentials import Potential
 from .pressure import overlap_ratios, pressure_curve, verify_ladder
 from .recognition import (
-    advance_break,
     brute_delta,
     cut_points,
     delta_after_power,
@@ -33,6 +32,7 @@ from .renorm import (
 from .sampling import sample_configurations
 from .spectral import left_eigenvector, perron_root, tribonacci_cardan
 from .substitution import Substitution, check_recurrence, require_kbonacci
+from .words import in_language
 
 
 class CheckResult(NamedTuple):
@@ -75,13 +75,14 @@ def suite_delta(s: Substitution) -> list[CheckResult]:
             word = power_prefix(s, x, n, base + 4)
             stride = max(1, block // 8)
             # the closed form puts the break of every shift j < block at the
-            # end `base`; the sweep reads each end off factoriality alone. Ends
-            # never decrease, so a break past the word fails this and every later shift
+            # end `base`; the sweep keeps the previous end unless one query
+            # shows it moved. Ends never decrease, so a break past the word
+            # fails this and every later shift
             end = 0
             for j in range(block):
-                if end < len(word):
+                if end < len(word) and (j == 0 or in_language(s, word[j : end + 1])):
                     try:
-                        end = brute_delta(s, word) if j == 0 else advance_break(s, word, j, max(end, j))
+                        end = j + brute_delta(s, word[j:])
                     except UncertifiedConfigurationError:
                         end = len(word)
                 if j % stride == 0:

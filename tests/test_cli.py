@@ -450,6 +450,12 @@ MALFORMED_CONFIG_LINES = {
     "head=0000 tail=const:0 seed=3": "'seed=3'",
     "head=0000 head=1 tail=const:0": "repeats head=",
     "head= tail=orbit:x": "orbit offset 'x'",
+    "head=0000 tail=const:": "const tail needs exactly one letter, got ''",
+    "head=0000 tail=const:01": "const tail needs exactly one letter, got '01'",
+    "head=0000 tail=periodic:": "periodic tail needs a nonempty period word",
+    "head=0000 tail=cyclic:0": "unknown tail kind 'cyclic'",
+    "head= tail=orbit:-3": "orbit offset must be nonnegative, got -3",
+    "head=01 tail=orbit:3": "an orbit tail takes no head, got head '01'",
 }
 
 

@@ -9,7 +9,6 @@ from kbonacci import (
     Configuration,
     CutPointSet,
     Substitution,
-    advance_break,
     brute_delta,
     cut_points,
     delta_after_power,
@@ -38,6 +37,7 @@ def test_configuration_text_roundtrip():
     (("", "orbit", -1), "orbit offset must be nonnegative, got -1"),
     (("0", "const", "01"), "const tail needs exactly one letter, got '01'"),
     (("0", "periodic", ""), "periodic tail needs a nonempty period word"),
+    (("01", "orbit", 3), "an orbit tail takes no head, got head '01'"),
 ])
 def test_configuration_rejects_a_bad_tail(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -243,16 +243,6 @@ def test_power_prefix_past_its_first_probe(data):
     assert len(word) >= length
     common = min(len(word), len(reference))
     assert word[:common] == reference[:common]
-
-
-def test_advance_break_from_the_start_is_the_scan(s2, s3):
-    for s in (s2, s3):
-        for x in sample_configurations(s, 3, seed=5):
-            word = power_prefix(s, x, s.k, 3 * len(x.head) + 40)
-            for j in range(len(word) // 2):
-                assert advance_break(s, word, j, j) == j + brute_delta(s, word[j:])
-    with pytest.raises(UncertifiedConfigurationError):
-        advance_break(s3, s3.fixed_prefix(20), 0, 5)
 
 
 def test_delta_after_power_guards(s3):

@@ -4,7 +4,7 @@ import re
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kbonacci import (
     Configuration,
@@ -23,7 +23,7 @@ from kbonacci import (
     renorm_power,
     verify_fixed_point,
 )
-from kbonacci import recognition
+from kbonacci import recognition, renorm
 from kbonacci.errors import UncertifiedConfigurationError
 from kbonacci.renorm import MODES, _DIRECT_SPAN, _inverse_power_sum, _sweep_breaks
 from kbonacci.sampling import sample_configurations
@@ -368,11 +368,44 @@ def test_break_sweep_equals_one_bisection_per_start(k, seed, data):
     assert breaks == [brute_delta(s, word[j:]) for j in range(count)]
 
 
-@pytest.mark.parametrize("k, n", [(2, 8), (3, 3), (3, 9), (4, 6)])
-def test_break_sweep_makes_one_failing_query_per_later_start(k, n, monkeypatch):
-    # after the bisection at j = 0, each start costs one failing query plus
-    # one per letter its break end advances past the previous one
-    s = kbonacci(k)
+# sweeps in which a break end moves, off the k-bonacci family, where none
+# does: (images, head of a tail of 0s, n, the break ends j + delta_j)
+MOVING_SWEEPS = {
+    "thue-morse": (("01", "10"), "000", 1, [4, 5]),
+    "1-01": (("1", "01"), "00", 2, [4, 6]),
+}
+NON_KBONACCI = {images: Substitution(images) for images, *_ in MOVING_SWEEPS.values()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(NON_KBONACCI)), st.text("01", min_size=1, max_size=12), st.sampled_from("01"),
+       st.integers(1, 5), st.integers(1, 8) | st.integers(1, 200))
+@example(("01", "10"), "000", "0", 1, 1)
+@example(("1", "01"), "00", "0", 2, 1)
+def test_break_sweep_equals_one_bisection_per_start_where_ends_move(images, head, tail, n, letters):
+    s, x = NON_KBONACCI[images], Configuration(head, "const", tail)
+    try:
+        maximal_prefix(s, x)
+    except UncertifiedConfigurationError:
+        assume(False)
+    block = s.power_lengths(n)[int(head[0])]
+    # a prefix of a few letters forces the sweep to extend the word and retry
+    breaks, word = _sweep_breaks(s, x, n, power_prefix(s, x, n, letters)[:letters], block)
+    assert word == power_prefix(s, x, n, len(word))[: len(word)]
+    assert breaks == [brute_delta(s, word[j:]) for j in range(block)]
+
+
+@pytest.mark.parametrize("case", ["2-8", "3-3", "3-9", "4-6", *MOVING_SWEEPS])
+def test_break_sweep_makes_one_failing_query_per_later_start(case, monkeypatch):
+    # after the bisection at j = 0, each later start costs one query, which
+    # fails unless its break end moved, and one bisection of word[j:] where it did
+    if case in MOVING_SWEEPS:
+        images, head, n, moving_ends = MOVING_SWEEPS[case]
+        s, configs = NON_KBONACCI[images], [Configuration(head, "const", "0")]
+    else:
+        k, n = map(int, case.split("-"))
+        s = kbonacci(k)
+        configs = sample_configurations(s, 3, seed=2)
     queries = []
     original = recognition.in_language
 
@@ -381,15 +414,19 @@ def test_break_sweep_makes_one_failing_query_per_later_start(k, n, monkeypatch):
         return original(s, u)
 
     monkeypatch.setattr(recognition, "in_language", counted)
-    for x in sample_configurations(s, 3, seed=2):
+    monkeypatch.setattr(renorm, "in_language", counted)
+    for x in configs:
         lengths = s.power_lengths(n)
         block = lengths[int(x.head[0])]
         word = power_prefix(s, x, n, 2 * (sum(lengths[int(c)] for c in x.head) + s.ladder_length(n)))
         queries.clear()
-        brute_delta(s, word)
-        bisection = len(queries)
-        queries.clear()
         breaks, swept = _sweep_breaks(s, x, n, word, block)
         assert swept is word
+        swept_queries = len(queries)
         ends = [j + d for j, d in enumerate(breaks)]
-        assert len(queries) == bisection + (block - 1) + ends[-1] - ends[0]
+        moved = [j for j in range(1, block) if ends[j] > ends[j - 1]]
+        assert (ends == moving_ends) if case in MOVING_SWEEPS else not moved
+        queries.clear()
+        for j in [0, *moved]:
+            brute_delta(s, word[j:])
+        assert swept_queries == len(queries) + (block - 1)
