@@ -24,7 +24,7 @@ from .pressure import DEFAULT_TOL, default_beta_grid, find_beta_c, pressure_curv
 from .recognition import Configuration, cut_points, delta_after_power, maximal_prefix, verify_recognizability
 from .renorm import MODES, convergence_study, renorm_power
 from .sampling import sample_configurations
-from .spectral import growth_decomposition, left_eigenvector
+from .spectral import _charpoly, growth_decomposition, left_eigenvector
 from .substitution import Substitution, kbonacci, require_kbonacci
 from .verify import run_all
 
@@ -179,8 +179,8 @@ def cmd_spectral(args, s: Substitution, w: CsvWriter) -> int:
         w.row("v", l, float(value))
     for l, value in enumerate(growth.gamma):
         w.row("gamma", l, float(value))
-    w.row("theta_hat", "", growth.theta_hat)
-    w.row("polynomial_residual", "", abs(lam**s.k - sum(lam**j for j in range(s.k))))
+    w.row("theta", "", growth.theta)
+    w.row("polynomial_residual", "", abs(_charpoly(s.k, lam)))
     return EXIT_OK
 
 

@@ -37,13 +37,6 @@ class CylinderFunction(NamedTuple("CylinderFunction", [("order", int), ("table",
         """base + weight * 1_{[word]} as a cylinder function of order len(word)."""
         return cls(order=len(word), table={word: base + weight}, default=base)
 
-    @property
-    def is_constant(self) -> bool:
-        if not self.table:
-            return self.default is not None
-        values = set(self.table.values())
-        return len(values) == 1 and (self.default is None or self.default in values)
-
     def __call__(self, w: str) -> float:
         key = w[: self.order]
         if len(key) < self.order:
@@ -64,10 +57,6 @@ class CylinderFunction(NamedTuple("CylinderFunction", [("order", int), ("table",
             for tail in itertools.product(letters, repeat=self.order - len(prefix))
         ]
         return min(values), max(values)
-
-    def extremes(self, k: int) -> tuple[float, float]:
-        """(min, max) over the whole full shift on k letters."""
-        return self.range_on_prefix("", k)
 
 
 class Potential(NamedTuple("Potential", [("alpha", float), ("g", CylinderFunction), ("h", CylinderFunction)])):
@@ -93,11 +82,6 @@ class Potential(NamedTuple("Potential", [("alpha", float), ("g", CylinderFunctio
         """The bare potential 1 / delta^alpha."""
         return cls(alpha=alpha, g=CylinderFunction.constant(1.0), h=CylinderFunction.constant(0.0))
 
-    @property
-    def is_locally_trivial(self) -> bool:
-        """True when g + h does not depend on the window."""
-        return self.g.is_constant and self.h.is_constant
-
     def numerator(self, window: str) -> float:
         return self.g(window) + self.h(window)
 
@@ -108,10 +92,10 @@ class Potential(NamedTuple("Potential", [("alpha", float), ("g", CylinderFunctio
 
     def validate_for(self, s: Substitution) -> None:
         """Check positivity of g and that h vanishes on the language."""
-        g_lo, _ = self.g.extremes(s.k)
+        g_lo, _ = self.g.range_on_prefix("", s.k)
         if g_lo <= 0:
             raise ValueError("g must be positive on the full shift")
-        h_lo, h_hi = self.h.extremes(s.k)
+        h_lo, h_hi = self.h.range_on_prefix("", s.k)
         if h_lo < 0:
             raise ValueError("h must be nonnegative")
         if h_hi > 0:

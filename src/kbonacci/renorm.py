@@ -60,8 +60,9 @@ def renorm_power(
 
 
 def _constant_numerator(s: Substitution, V: Potential) -> float | None:
-    """g + h when it does not depend on the window, else None."""
-    return V.numerator_range("", s.k)[0] if V.is_locally_trivial else None
+    """g + h when it takes one value over every window on the alphabet, else None."""
+    lo, hi = V.numerator_range("", s.k)
+    return lo if lo == hi else None
 
 
 def _renorm_level(
@@ -138,7 +139,7 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
     with localcontext() as ctx:
         ctx.prec = 34
         if alpha != 1.0:
-            ctx.prec += max(0, math.ceil(math.log10(hi / ((hi - a) * abs(1.0 - alpha)))))
+            ctx.prec += max(0, math.ceil(math.log10(hi / (hi - a) / abs(1.0 - alpha))))
         s = Decimal(alpha)
         power = (lambda x: x**-s) if float(alpha).is_integer() else (lambda x: (-s * x.ln()).exp())
         total = sum(power(Decimal(d)) for d in range(lo, a))

@@ -4,7 +4,7 @@ the letter frequencies of the unique invariant measure.
 
 The dominant root lambda of X^k - sum_{j<k} X^j drives all growth rates;
 the left eigenvector is available in closed form and is normalized so
-that its first entry equals lambda.
+that its first entry equals lambda, and the right one is (lambda^-i)_i.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 from .substitution import Substitution, require_kbonacci
 
 ROOT_TOL = 1e-14
-# gamma_l is read off the exact |s^n(l)| at this n, where the remainder is negligible
-GROWTH_DEPTH = 60
 
 
 def _charpoly(k: int, x: float) -> float:
@@ -73,36 +71,25 @@ def tribonacci_cardan() -> float:
 
 
 class GrowthDecomposition(NamedTuple):
-    """|s^n(l)| = gamma_l lambda^n + r_l(n): the coefficients and the
-    decay rate of the remainders."""
+    """|s^n(l)| = gamma_l lambda^n + r_l(n) with |r_l(n)| = O(theta^n):
+    the coefficients and the decay rate of the remainders."""
 
     lam: float
     gamma: np.ndarray                 # per letter
-    theta_hat: float                  # fitted decay rate of |r_l(n)|
+    theta: float                      # second-largest root modulus
 
 
 def growth_decomposition(s: Substitution) -> GrowthDecomposition:
-    """Estimate gamma_l from exact matrix-power lengths at GROWTH_DEPTH and
-    fit the remainder decay rate; no words are materialized.  k-bonacci only."""
+    """gamma_l = lambda v_l / sum_i v_i lambda^-i, from the left eigenvector v
+    and the right one (lambda^-i)_i, whose entries sum to lambda; theta is
+    the second-largest modulus among the roots of X^k - sum_{j<k} X^j.
+    k-bonacci only."""
     require_kbonacci(s)
     lam = perron_root(s.k)
-    lengths = [s.power_lengths(n) for n in range(GROWTH_DEPTH + 1)]
-    gamma = np.array([lengths[GROWTH_DEPTH][l] / lam**GROWTH_DEPTH for l in range(s.k)])
-    remainders = np.array(
-        [[lengths[n][l] - gamma[l] * lam**n for l in range(s.k)] for n in range(GROWTH_DEPTH + 1)]
-    )
-    # fit |r| ~ C theta^n on the mid-range where floating error is negligible
-    theta_hat = 0.0
-    ns, logs = [], []
-    for n in range(1, 31):
-        r = np.abs(remainders[n]).max()
-        if r > 1e-9:
-            ns.append(n)
-            logs.append(math.log(r))
-    if len(ns) >= 2:
-        slope = np.polyfit(ns, logs, 1)[0]
-        theta_hat = math.exp(slope)
-    return GrowthDecomposition(lam, gamma, theta_hat)
+    v = left_eigenvector(s.k, lam)
+    gamma = lam * v / sum(v[i] / lam**i for i in range(s.k))
+    theta = float(np.sort(np.abs(np.roots([1.0] + [-1.0] * s.k)))[-2])
+    return GrowthDecomposition(lam, gamma, theta)
 
 
 def letter_frequencies(s: Substitution) -> np.ndarray:

@@ -177,9 +177,6 @@ class Substitution:
                 m[int(c), j] += 1
         return m
 
-    def is_primitive(self) -> bool:
-        return is_primitive(self.incidence())
-
     # -- fixed point ----------------------------------------------------
 
     def fixed_point_seed(self) -> int:
@@ -233,7 +230,7 @@ class Substitution:
         """
         if self._pairs is not None:
             return self._pairs
-        if not self.is_primitive() or all(len(w) == 1 for w in self.images):
+        if not is_primitive(self.incidence()) or all(len(w) == 1 for w in self.images):
             raise ValueError("language construction requires a primitive, expanding substitution")
         pairs: set[str] = set()
         words = self.images

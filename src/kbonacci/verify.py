@@ -30,7 +30,7 @@ from .renorm import (
     verify_fixed_point,
 )
 from .sampling import sample_configurations
-from .spectral import left_eigenvector, perron_root, tribonacci_cardan
+from .spectral import _charpoly, left_eigenvector, perron_root, tribonacci_cardan
 from .substitution import Substitution, check_recurrence, require_kbonacci
 from .words import in_language
 
@@ -106,7 +106,7 @@ def suite_recognizability(s: Substitution) -> list[CheckResult]:
 def suite_spectral(s: Substitution) -> list[CheckResult]:
     rows = []
     lam = perron_root(s.k)
-    residual = abs(lam**s.k - sum(lam**j for j in range(s.k)))
+    residual = abs(_charpoly(s.k, lam))
     rows.append(_result("spectral", "polynomial residual < 1e-12", residual < 1e-12, f"{residual:.2e}"))
     v = left_eigenvector(s.k, lam)
     m = s.incidence().astype(float)

@@ -430,6 +430,17 @@ def test_closed_form_renorm_takes_an_alpha_whose_power_would_overflow(capsys):
     assert out.splitlines()[2:] == ["2,400,3,0,0,closed-form"]
 
 
+@pytest.mark.parametrize("mode, k, n_max", [("study", 2, 1500), ("closed-form", 2, 1480), ("study", 3, 1200)])
+def test_a_break_past_the_largest_float_is_not_an_alpha_error(mode, k, n_max, capsys):
+    # the breaks of s^n(x) pass 1.8e308 near n = 1480 at k = 2 (n = 1200 at
+    # k = 3); the inverse power sum over them never converts one to a float
+    code, out = run(capsys, "renorm", "--mode", mode, "--k", str(k), "--samples", "1", "--n-max", str(n_max),
+                    "--alpha", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [row[2] for row in rows if row[5] == "closed-form"][-1] == str(n_max)
+
+
 BAD_CONFIG_LINES = ["head=0190 tail=const:0", "head=0000 tail=periodic:012",
                     "head=0000 tail=const:", "head=0000 tail=const:01", "head= tail=orbit:-3"]
 

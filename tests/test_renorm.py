@@ -25,7 +25,7 @@ from kbonacci import (
 )
 from kbonacci import recognition, renorm
 from kbonacci.errors import UncertifiedConfigurationError
-from kbonacci.renorm import MODES, _DIRECT_SPAN, _inverse_power_sum, _sweep_breaks
+from kbonacci.renorm import MODES, _DIRECT_SPAN, _constant_numerator, _inverse_power_sum, _sweep_breaks
 from kbonacci.sampling import sample_configurations
 
 ZEROS = Configuration("0000", "const", "0")
@@ -42,6 +42,51 @@ def test_potential_validation(s3):
         Potential(1.0, CylinderFunction.constant(1.0), bad_h).validate_for(s3)
     ok_h = CylinderFunction.indicator("000", 1.0)
     Potential(1.0, CylinderFunction.constant(1.0), ok_h).validate_for(s3)
+
+
+def _cylinder_functions(letters):
+    """Tables of order 1-3 with small integral values, so that sums are exact:
+    with a default over some windows, else over all of them, and at times
+    with a key outside the alphabet, which no window reads."""
+    values = st.sampled_from([0.0, 1.0, 2.0])
+
+    @st.composite
+    def tables(draw):
+        order = draw(st.integers(min_value=1, max_value=3))
+        windows = ["".join(u) for u in itertools.product(letters, repeat=order)]
+        default = draw(st.none() | values)
+        keys = windows if default is None else draw(st.lists(st.sampled_from(windows), unique=True))
+        table = {key: draw(values) for key in keys}
+        if draw(st.booleans()):
+            table["9" * order] = draw(values)
+        return CylinderFunction(order, table, default)
+
+    return tables()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_constant_numerator_is_read_off_the_numerator_range(data):
+    # g + h is taken as constant exactly when g and h each take one value
+    # over every window on the alphabet, and then it is the numerator of
+    # every window; a g + h that is constant only as a sum takes the
+    # general path.
+    k = data.draw(st.sampled_from([2, 3]))
+    g, h = data.draw(_cylinder_functions("012"[:k])), data.draw(_cylinder_functions("012"[:k]))
+    V = Potential(1.0, g, h)
+    windows = ["".join(u) for u in itertools.product("012"[:k], repeat=V.order)]
+    numerators = {V.numerator(w) for w in windows}
+    constant = len({g(w) for w in windows}) == 1 and len({h(w) for w in windows}) == 1
+    numer = _constant_numerator(kbonacci(k), V)
+    assert (numer is not None) == constant
+    if constant:
+        assert numerators == {numer}
+
+
+def test_a_key_outside_the_alphabet_leaves_the_numerator_constant(s2):
+    # g reads 1 on every window of the alphabet {0, 1}; its "9" entry is never read
+    g = CylinderFunction(1, {"0": 1.0, "9": 2.0}, 1.0)
+    assert _constant_numerator(s2, Potential(1.0, g, CylinderFunction.constant(0.0))) == 1.0
 
 
 @pytest.mark.parametrize("args, message", [
@@ -324,6 +369,16 @@ def test_inverse_power_sum_matches_the_hurwitz_zeta_difference(alpha, lo, span):
 def test_inverse_power_sum_matches_the_term_by_term_sum_past_the_direct_span(alpha, lo, span):
     expected = _term_by_term(alpha, lo, lo + span)
     assert abs(_inverse_power_sum(alpha, lo, lo + span) - expected) <= math.ulp(expected)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0, 1.0000001])
+def test_inverse_power_sum_over_integers_past_the_largest_float(alpha):
+    # the precision estimate divides the integers exactly; converting hi - a
+    # to a float would overflow
+    lo, hi = 10**400, 11 * 10**399
+    with mpmath.workdps(50):
+        exact = float(mpmath.zeta(alpha, lo) - mpmath.zeta(alpha, hi + 1))
+    assert _inverse_power_sum(alpha, lo, hi) == exact
 
 
 def test_powers_reject_a_head_without_its_break(s3):

@@ -5,6 +5,7 @@ import pytest
 
 from kbonacci import (
     growth_decomposition,
+    kbonacci,
     left_eigenvector,
     letter_frequencies,
     perron_root,
@@ -40,8 +41,6 @@ def test_left_eigenvector(s3):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_left_eigenvector_general(k):
-    from kbonacci import kbonacci
-
     s = kbonacci(k)
     lam = perron_root(k)
     v = left_eigenvector(k, lam)
@@ -54,9 +53,30 @@ def test_growth_lengths(s3):
     # gamma_l lambda^n tracks the exact lengths once the remainder has decayed
     for n in range(20, 35):
         assert s3.power_lengths(n)[0] == pytest.approx(g.gamma[0] * g.lam**n, rel=1e-7)
-    assert g.theta_hat < g.lam
+    assert g.theta < g.lam
     with pytest.raises(AttributeError):
         g.lam = 2.0
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_theta_is_the_second_root_modulus(k):
+    s = kbonacci(k)
+    g = growth_decomposition(s)
+    moduli = np.sort(np.abs(np.linalg.eigvals(s.incidence().astype(float))))
+    assert abs(g.theta - moduli[-2]) < 1e-12
+    # the exact remainders decay at rate theta
+    for n in range(31):
+        lengths = s.power_lengths(n)
+        assert max(abs(lengths[l] - g.gamma[l] * g.lam**n) for l in range(k)) <= g.theta**n
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_gamma_is_the_deep_length_ratio(k):
+    # at n = 60 the remainder is below 1e-13 of |s^n(l)|
+    s = kbonacci(k)
+    g = growth_decomposition(s)
+    oracle = np.array([s.power_lengths(60)[l] / g.lam**60 for l in range(k)])
+    assert np.abs(g.gamma / oracle - 1.0).max() < 1e-13
 
 
 def test_gamma_proportional_to_eigenvector(s3):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import FixedPointStream, Substitution, check_recurrence, kbonacci
-from kbonacci.substitution import occurrence_starts
+from kbonacci.substitution import is_primitive, occurrence_starts
 from kbonacci.errors import BudgetExceededError
 
 
@@ -44,8 +44,8 @@ def test_incidence_and_primitivity(s3):
     # column j counts letters of s(j)
     assert m[:, 0].tolist() == [1, 1, 0]
     assert m[:, 2].tolist() == [1, 0, 0]
-    assert s3.is_primitive()
-    assert not Substitution(("01", "1", "2")).is_primitive()
+    assert is_primitive(s3.incidence())
+    assert not is_primitive(Substitution(("01", "1", "2")).incidence())
 
 
 def test_budget_guard():
