@@ -78,7 +78,7 @@ class Potential(NamedTuple("Potential", [("alpha", float), ("g", CylinderFunctio
         return max(self.g.order, self.h.order)
 
     @classmethod
-    def v0(cls, alpha: float = 1.0) -> "Potential":
+    def v0(cls, alpha: float) -> "Potential":
         """The bare potential 1 / delta^alpha."""
         return cls(alpha=alpha, g=CylinderFunction.constant(1.0), h=CylinderFunction.constant(0.0))
 

@@ -240,19 +240,12 @@ class Substitution:
         self._pairs = frozenset(pairs)
         return self._pairs
 
-    def two_blocks(self, n: int) -> tuple[str, ...]:
-        """The words s^m(a) s^m(b) for the 2-factors ab, m = block_level(n).
-
-        Every language word of length <= n spans at most two m-th blocks of
-        some s^N(c), so the language words of length <= n are exactly the
-        factors of these words.  Read back out of ``language_text(n)``.
-        """
-        return tuple(self.language_text(n).split("|"))
-
     def language_text(self, n: int) -> str:
-        """The two-block words of ``two_blocks(n)`` joined by "|": a word of
-        length <= n is in the language exactly when it occurs in this text,
-        "|" being no letter.  One string per block level, looked up by n."""
+        """The words s^m(a) s^m(b) for the 2-factors ab, m = block_level(n),
+        joined by "|".  Every language word of length <= n spans at most
+        two m-th blocks of some s^N(c), so it is in the language exactly
+        when it occurs in this text, "|" being no letter.  One string per
+        block level, looked up by n."""
         text = self._texts.get(n)
         if text is None:
             pairs = sorted(self.pair_language())  # raises on a non-primitive s before block_level runs

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import UncertifiedConfigurationError
 from .potentials import Potential
-from .pressure import overlap_ratios, pressure_curve, verify_ladder
+from .pressure import PRESSURE_WORD_BUDGET, overlap_ratios, pressure_curve, verify_ladder
 from .recognition import (
     brute_delta,
     cut_points,
@@ -73,21 +73,18 @@ def suite_delta(s: Substitution) -> list[CheckResult]:
             block = s.power_lengths(n)[int(w[0])]
             base = delta_after_power(s, w, n)
             word = power_prefix(s, x, n, base + 4)
-            stride = max(1, block // 8)
             # the closed form puts the break of every shift j < block at the
-            # end `base`; the sweep keeps the previous end unless one query
-            # shows it moved. Ends never decrease, so a break past the word
-            # fails this and every later shift
-            end = 0
-            for j in range(block):
-                if end < len(word) and (j == 0 or in_language(s, word[j : end + 1])):
-                    try:
-                        end = j + brute_delta(s, word[j:])
-                    except UncertifiedConfigurationError:
-                        end = len(word)
-                if j % stride == 0:
-                    checks += 1
-                    mismatches += end != base
+            # end `base`.  The language is factorial, so the end j + delta_j
+            # never decreases in j: once one bisection puts the end of shift
+            # 0 at base, a later shift ends at base exactly when
+            # word[j : base + 1] is not in the language
+            try:
+                ok = brute_delta(s, word) == base
+            except UncertifiedConfigurationError:
+                ok = False
+            for j in range(0, block, max(1, block // 8)):
+                checks += 1
+                mismatches += not ok or (j > 0 and in_language(s, word[j : base + 1]))
     rows.append(_result("delta", "closed form vs scan", mismatches == 0, f"{checks} checks"))
     return rows
 
@@ -145,7 +142,8 @@ def suite_renorm(s: Substitution) -> list[CheckResult]:
 def suite_pressure(s: Substitution) -> list[CheckResult]:
     rows = []
     V0 = Potential.v0(1.0)
-    curve = pressure_curve(s, V0, 10, np.array([0.0, 5.0]))
+    depth = max(n for n in range(1, 11) if s.k**n <= PRESSURE_WORD_BUDGET)
+    curve = pressure_curve(s, V0, depth, np.array([0.0, 5.0]))
     (lo, lo5), (hi, hi5) = curve.lows, curve.highs
     exact = abs(lo - math.log(s.k)) < 1e-12 and abs(hi - math.log(s.k)) < 1e-12
     rows.append(_result("pressure", "exact at beta = 0", exact))

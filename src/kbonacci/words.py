@@ -1,10 +1,10 @@
 """The factor language of a primitive substitution.
 
-Everything here rests on :meth:`Substitution.two_blocks`: the language
-words of length <= n are exactly the factors of the finitely many words
-s^m(a) s^m(b), ab a 2-factor, at the level m where every m-th image is
-at least n long.  :func:`in_language` searches those words, joined into
-one text per level by a separator that is no letter.
+Everything here rests on :meth:`Substitution.language_text`: the
+language words of length <= n are exactly the factors of the finitely
+many words s^m(a) s^m(b), ab a 2-factor, at the level m where every m-th
+image is at least n long, joined into one text per level by a separator
+that is no letter.  :func:`in_language` searches that text.
 :class:`LanguageIndex` keeps one layer up to a caller-chosen depth N: the
 sorted length-N factors T and the common-prefix length lcp[i] of each
 neighbour pair T[i], T[i+1].  Every shorter length is read off those two;
@@ -62,22 +62,32 @@ class LanguageIndex:
     reversals of T describe the left extensions the same way.
     """
 
-    def __init__(self, depth: int, top: _SortedLayer):
+    def __init__(self, depth: int, top: _SortedLayer, budget: int):
         self.depth = depth
         self._top = top
         self._layers: dict[int, frozenset[str]] = {}
+        self._budget = budget
+        self._held = 0  # letters of the layers built so far
 
     def _check(self, n: int) -> None:
         if n < 0 or n > self.depth:
             raise OutOfIndexError(f"length {n} outside indexed depth {self.depth}")
 
     def words(self, n: int) -> frozenset[str]:
-        """The length-n factors, built on first request and kept."""
+        """The length-n factors, built on first request and kept.
+
+        Building a layer charges its n * complexity(n) letters; raises
+        BudgetExceededError when the layers built would then hold more
+        than the substitution's ``length_budget`` letters.
+        """
         layer = self._layers.get(n)
         if layer is None:
-            self._check(n)
-            top = self._top
-            layer = self._layers[n] = frozenset([w[:n] for w in top.heads[: 1 + top.below[n]]])
+            count = self.complexity(n)
+            held = self._held + n * count
+            if held > self._budget:
+                raise BudgetExceededError(f"language layers would hold {held} letters, over {self._budget}")
+            self._held = held
+            layer = self._layers[n] = frozenset([w[:n] for w in self._top.heads[:count]])
         return layer
 
     def complexity(self, n: int) -> int:
@@ -106,25 +116,19 @@ class LanguageIndex:
 def build_language(s: Substitution, depth: int) -> LanguageIndex:
     """Index every factor of length <= depth of the language of s.
 
-    The length-depth factors are sliced out of ``s.two_blocks(depth)`` and
-    sorted; see :class:`LanguageIndex` for how the shorter lengths are read.
-    Raises BudgetExceededError when the slices, or the factors of every
-    length <= depth held as separate words, would exceed
-    ``s.length_budget`` letters.
+    The length-depth factors are sliced out of the two-block words of
+    ``s.language_text(depth)`` and sorted; see :class:`LanguageIndex` for
+    how the shorter lengths are read.  Raises BudgetExceededError when
+    the slices would exceed ``s.length_budget`` letters; each layer the
+    index builds later is charged when it is built (see
+    :meth:`LanguageIndex.words`).
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    blocks = s.two_blocks(depth)
+    blocks = s.language_text(depth).split("|")
     # one length-depth word at most per slice position
-    _charge(s, depth * sum(len(w) - depth + 1 for w in blocks), depth)
-    top = _SortedLayer(sorted({w[i : i + depth] for w in blocks for i in range(len(w) - depth + 1)}), depth)
-    # the letters of every layer held as separate words, complexity(m) = 1 + below[m] each
-    _charge(s, sum(m * (1 + below) for m, below in enumerate(top.below)), depth)
-    return LanguageIndex(depth, top)
-
-
-def _charge(s: Substitution, letters: int, depth: int) -> None:
+    letters = depth * sum(len(w) - depth + 1 for w in blocks)
     if letters > s.length_budget:
-        raise BudgetExceededError(
-            f"language index of depth {depth} would hold over {s.length_budget} letters"
-        )
+        raise BudgetExceededError(f"language index of depth {depth} would slice {letters} letters, over {s.length_budget}")
+    top = _SortedLayer(sorted({w[i : i + depth] for w in blocks for i in range(len(w) - depth + 1)}), depth)
+    return LanguageIndex(depth, top, s.length_budget)

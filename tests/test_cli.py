@@ -70,6 +70,15 @@ def test_verify_full_small_k(capsys):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("k", [6, 8])
+def test_verify_past_k_5_exits_zero(k, capsys):
+    # the pressure suite sweeps the largest depth n <= 10 whose k^n
+    # windows fit the sweep budget: 8 at k = 6, 7 at k = 8
+    code, out = run(capsys, "verify", "--k", str(k))
+    assert code == 0, out
+    assert out.splitlines()[-1] == "17/17 checks passed"
+
+
 def _subparsers(parser: argparse.ArgumentParser) -> dict:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
@@ -176,21 +185,36 @@ def test_budget_exit_code(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("argv", [["lang", "--k", "10", "--depth", "1000"],
-                                  ["lang", "--k", "2", "--depth", "100000"],
-                                  ["recog", "--k", "2", "--window", "100000000"]])
-def test_language_index_past_the_length_budget_exits_3(argv):
+def run_capped(argv):
     # in a child capped at 2 GB of address space, so an unbudgeted index
     # ends in a MemoryError there instead of filling the host's memory
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "kbonacci.cli", *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", "kbonacci.cli", *argv], capture_output=True, text=True,
                           env=env, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [["lang", "--k", "10", "--depth", "1100"],
+                                  ["lang", "--k", "2", "--depth", "100000"],
+                                  ["recog", "--k", "2", "--window", "100000000"],
+                                  ["lang", "--k", "2", "--depth", "4181"]])
+def test_language_index_past_the_length_budget_exits_3(argv):
+    proc = run_capped(argv)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert sum("budget exceeded:" in line for line in proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("depth", [700, 4180])
+def test_language_index_within_the_length_budget_exits_0(depth):
+    # lang reads no layer's words, so only the slices of the top layer
+    # are charged: depth 4180 (an index of depth 4181) is the deepest at
+    # k = 2 within the default budget
+    proc = run_capped(["lang", "--k", "2", "--depth", str(depth)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith(f"{depth},{depth + 1},1,1,")
 
 
 def test_the_runtime_does_not_import_mpmath():

@@ -14,7 +14,9 @@ from kbonacci import (
     birkhoff_bounds,
     brute_delta,
     convergence_study,
+    delta_after_power,
     fixed_point_U,
+    in_language,
     kbonacci,
     letter_frequencies,
     maximal_prefix,
@@ -23,7 +25,7 @@ from kbonacci import (
     renorm_power,
     verify_fixed_point,
 )
-from kbonacci import recognition, renorm
+from kbonacci import recognition, renorm, verify
 from kbonacci.errors import UncertifiedConfigurationError
 from kbonacci.renorm import MODES, _DIRECT_SPAN, _constant_numerator, _inverse_power_sum, _sweep_breaks
 from kbonacci.sampling import sample_configurations
@@ -485,3 +487,73 @@ def test_break_sweep_makes_one_failing_query_per_later_start(case, monkeypatch):
         for j in [0, *moved]:
             brute_delta(s, word[j:])
         assert swept_queries == len(queries) + (block - 1)
+
+
+# -- the one-query rule of verify's delta suite -------------------------------
+
+QUERY_RULE_SUBSTITUTIONS = {images: Substitution(images) for images in
+                            [*NON_KBONACCI, *(kbonacci(k).images for k in (2, 3, 4))]}
+
+
+@pytest.mark.parametrize("images", sorted(QUERY_RULE_SUBSTITUTIONS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_one_query_tells_whether_a_break_end_stays(images, data, n):
+    # ends never decrease, so once the bisection of shift 0 puts its end at
+    # base, shift j ends at base exactly when word[j : base + 1] is not in
+    # the language; checked against a bisection of every shift, on
+    # k-bonacci and where ends move (Thue-Morse, and 0 -> 1, 1 -> 01)
+    s = QUERY_RULE_SUBSTITUTIONS[images]
+    letters = "".join(str(a) for a in range(s.k))
+    head = data.draw(st.text(letters, min_size=1, max_size=12), label="head")
+    x = Configuration(head, "const", data.draw(st.sampled_from(letters), label="tail"))
+    try:
+        maximal_prefix(s, x)
+    except UncertifiedConfigurationError:
+        assume(False)
+    block = s.power_lengths(n)[int(head[0])]
+    word = power_prefix(s, x, n, 8)
+    while True:
+        try:
+            ends = [j + brute_delta(s, word[j:]) for j in range(block)]
+            break
+        except UncertifiedConfigurationError:
+            word = power_prefix(s, x, n, 2 * len(word))
+    base = ends[0]
+    assert [end == base for end in ends] == [not in_language(s, word[j : base + 1]) for j in range(block)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_delta_suite_makes_one_query_per_later_sampled_shift(k, monkeypatch):
+    # one bisection of shift 0 per (x, n), not counted here: it runs under
+    # recognition's name, and then one query per later sampled shift
+    s = kbonacci(k)
+    queries = []
+    original = verify.in_language
+
+    def counted(s, u):
+        queries.append(u)
+        return original(s, u)
+
+    monkeypatch.setattr(verify, "in_language", counted)
+    (row,) = verify.suite_delta(s)
+    sampled = 0
+    for x in sample_configurations(s, 8, seed=7):
+        w = maximal_prefix(s, x)
+        for n in range(k, k + 3):
+            block = s.power_lengths(n)[int(w[0])]
+            sampled += len(range(0, block, max(1, block // 8)))
+    assert row.passed and row.detail == f"{sampled} checks"
+    assert len(queries) == sampled - 8 * 3
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_delta_suite_fails_on_a_wrong_end(k, monkeypatch):
+    # a closed form one off fails at shift 0; a query that always finds the
+    # end moved fails at every later sampled shift
+    s = kbonacci(k)
+    monkeypatch.setattr(verify, "delta_after_power", lambda s, w, n: delta_after_power(s, w, n) + 1)
+    assert not verify.suite_delta(s)[0].passed
+    monkeypatch.setattr(verify, "delta_after_power", delta_after_power)
+    monkeypatch.setattr(verify, "in_language", lambda s, u: True)
+    assert not verify.suite_delta(s)[0].passed

@@ -169,9 +169,16 @@ def test_language_matches_long_word_factors(images, depth):
             assert in_language(s, w) == (w in oracle[n])
 
 
+def two_blocks(s, n):
+    """The words s^m(a) s^m(b) for the sorted 2-factors ab, m = block_level(n),
+    joined here from the power images rather than read off language_text."""
+    m = s.block_level(n)
+    return [s.power_image(m, a) + s.power_image(m, b) for a, b in sorted(s.pair_language())]
+
+
 def two_block_membership(s, u):
     """The membership oracle: u is a factor of one of the two-block words, searched one by one."""
-    return not u or any(u in w for w in s.two_blocks(len(u)))
+    return not u or any(u in w for w in two_blocks(s, len(u)))
 
 
 @st.composite
@@ -215,7 +222,7 @@ def test_lengths_of_one_block_level_share_one_text(images):
     s = Substitution(images)
     texts = {n: s.language_text(n) for n in range(1, 120)}
     for n, text in texts.items():
-        assert text == "|".join(s.two_blocks(n))
+        assert text == "|".join(two_blocks(s, n))
         for other in range(1, n):
             assert (texts[other] is text) == (s.block_level(other) == s.block_level(n))
 
@@ -224,7 +231,7 @@ def test_lengths_of_one_block_level_share_one_text(images):
 # as oracles: every factor of the two-block words at every length, and the
 # letters a with a+w (w+a) in the next layer.
 def sliced_language(s, depth):
-    blocks = s.two_blocks(depth)
+    blocks = two_blocks(s, depth)
     return [{w[i : i + n] for w in blocks for i in range(len(w) - n + 1)} for n in range(depth + 1)]
 
 
@@ -257,7 +264,7 @@ def test_top_down_language_matches_slicing_oracle(images, depth):
 # then each shorter layer the prefixes u[:-1] of the layer above, charging
 # the letters every layer holds against the budget as it goes.
 def top_down_language(s, depth):
-    blocks = s.two_blocks(depth)
+    blocks = two_blocks(s, depth)
     letters = depth * sum(len(w) - depth + 1 for w in blocks)
     if letters > s.length_budget:
         raise BudgetExceededError(f"{letters} letters before slicing")
@@ -294,18 +301,46 @@ def _raises_budget(build, images, depth, budget):
     return False
 
 
+def every_layer(s, depth):
+    index = build_language(s, depth)
+    return [index.words(n) for n in range(depth + 1)]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("depth", [1, 5, 30, 100])
 def test_budget_matches_top_down_oracle(k, depth):
-    # The build raises at exactly the budgets the layer-by-layer build did:
-    # below the letters it sliced, or below the letters of all its layers.
+    # The build charges the letters it slices and nothing more; every
+    # layer asked for later charges the letters it holds, and asking for
+    # all of them raises at exactly the budgets the layer-by-layer build
+    # did: below the letters it sliced, or below the letters of all its layers.
     images = kbonacci(k).images
     s = Substitution(images)
-    sliced = depth * sum(len(w) - depth + 1 for w in s.two_blocks(depth))
+    sliced = depth * sum(len(w) - depth + 1 for w in two_blocks(s, depth))
     held = sum(m * len(layer) for m, layer in enumerate(top_down_language(s, depth)))
+    assert _raises_budget(build_language, images, depth, sliced - 1)
+    assert not _raises_budget(build_language, images, depth, sliced)
     for total in (sliced, held):
         for budget in (total - 1, total, total + 1):
             expected = _raises_budget(top_down_language, images, depth, budget)
-            assert _raises_budget(build_language, images, depth, budget) == expected
-    assert _raises_budget(build_language, images, depth, max(sliced, held) - 1)
-    assert not _raises_budget(build_language, images, depth, max(sliced, held))
+            assert _raises_budget(every_layer, images, depth, budget) == expected
+    assert _raises_budget(every_layer, images, depth, max(sliced, held) - 1)
+    assert not _raises_budget(every_layer, images, depth, max(sliced, held))
+
+
+@pytest.mark.parametrize("images", [kbonacci(2).images, kbonacci(4).images, ("01", "10")])
+def test_a_layer_past_the_budget_is_neither_built_nor_charged(images):
+    # layers are charged as they are built, in any order: at a budget that
+    # every layer fits but length 2, the length-2 layer raises, and the
+    # length-1 layer still fits only because the failed one was not charged
+    depth = 40
+    index = build_language(Substitution(images), depth)
+    cost = [n * index.complexity(n) for n in range(depth + 1)]
+    index = build_language(Substitution(images, length_budget=sum(cost) - cost[1] - 1), depth)
+    for n in range(depth, 2, -1):
+        index.words(n)
+    with pytest.raises(BudgetExceededError):
+        index.words(2)
+    assert len(index.words(1)) == index.complexity(1)
+    with pytest.raises(BudgetExceededError):
+        index.words(2)
+    assert index.words(0) == {""} and index.words(depth) is index.words(depth)
