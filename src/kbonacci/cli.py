@@ -21,7 +21,9 @@ import numpy as np
 from .errors import BudgetExceededError, KbonacciError
 from .potentials import Potential
 from .pressure import DEFAULT_TOL, default_beta_grid, find_beta_c, pressure_curve
-from .recognition import Configuration, cut_points, delta_after_power, maximal_prefix, verify_recognizability
+from .recognition import (
+    Configuration, _delta_from_counts, _letter_counts, cut_points, maximal_prefix, verify_recognizability,
+)
 from .renorm import MODES, convergence_study, renorm_power
 from .sampling import sample_configurations
 from .spectral import _charpoly, growth_decomposition, left_eigenvector
@@ -155,8 +157,10 @@ def cmd_delta(args, s: Substitution, w: CsvWriter) -> int:
     w.row("x_id", "configuration", "delta", "n", "delta_after_power")
     for i, x in enumerate(configs):
         prefix = maximal_prefix(s, x)
+        require_kbonacci(s)
+        counts = _letter_counts(s, prefix)
         for n in levels:
-            w.row(i, x.to_text(), len(prefix), n, delta_after_power(s, prefix, n))
+            w.row(i, x.to_text(), len(prefix), n, _delta_from_counts(s, counts, n))
     return EXIT_OK
 
 

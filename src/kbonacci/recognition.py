@@ -7,6 +7,7 @@ recognizability scans.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -158,8 +159,19 @@ def delta_after_power(s: Substitution, w: str, n: int) -> int:
     require_kbonacci(s)
     if n < 1:
         raise ValueError("n must be >= 1")
-    lengths = s.power_lengths(n)
-    return sum(lengths[a] * w.count(str(a)) for a in range(s.k)) + s.ladder_length(n - 1)
+    return _delta_from_counts(s, _letter_counts(s, w), n)
+
+
+def _letter_counts(s: Substitution, w: str) -> tuple[int, ...]:
+    """The number of each letter of s in w."""
+    return tuple(w.count(str(a)) for a in range(s.k))
+
+
+def _delta_from_counts(s: Substitution, counts: tuple[int, ...], n: int) -> int:
+    """delta_after_power(s, w, n) for a k-bonacci s and n >= 1, given
+    counts = _letter_counts(s, w): callers that tabulate many levels for
+    one w count its letters and check s once."""
+    return sum(map(operator.mul, s.power_lengths(n), counts)) + s.ladder_length(n - 1)
 
 
 class CutPointSet:

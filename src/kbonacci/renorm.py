@@ -23,8 +23,9 @@ from .errors import UncertifiedConfigurationError
 from .potentials import Potential
 from .recognition import (
     Configuration,
+    _delta_from_counts,
+    _letter_counts,
     brute_delta,
-    delta_after_power,
     maximal_prefix,
     power_prefix,
 )
@@ -56,7 +57,10 @@ def renorm_power(
     V.validate_for(s)
     if x.in_subshift:
         return 0.0
-    return _renorm_level(s, V, x, maximal_prefix(s, x), n, mode, _constant_numerator(s, V))
+    w = maximal_prefix(s, x)
+    if mode == "closed-form" and n > 0:
+        require_kbonacci(s)
+    return _renorm_level(s, V, x, w, _letter_counts(s, w), n, mode, _constant_numerator(s, V))
 
 
 def _constant_numerator(s: Substitution, V: Potential) -> float | None:
@@ -66,12 +70,14 @@ def _constant_numerator(s: Substitution, V: Potential) -> float | None:
 
 
 def _renorm_level(
-    s: Substitution, V: Potential, x: Configuration, w: str, n: int, mode: str, numer: float | None
+    s: Substitution, V: Potential, x: Configuration, w: str, counts: tuple[int, ...],
+    n: int, mode: str, numer: float | None,
 ) -> float:
     """renorm_power for a V validated on s, x off the subshift,
-    w = maximal_prefix(s, x) and numer = _constant_numerator(s, V): V read
-    off w at n = 0, else the break sweep of s^n(x) in brute-force mode or
-    the closed form."""
+    w = maximal_prefix(s, x), counts = _letter_counts(s, w) and
+    numer = _constant_numerator(s, V): V read off w at n = 0, else the
+    break sweep of s^n(x) in brute-force mode or the closed form, which
+    needs s checked k-bonacci by the caller."""
     if n == 0:
         if len(x.head) < V.order:
             raise ValueError(f"head of length {len(x.head)} shorter than potential order {V.order}")
@@ -80,12 +86,11 @@ def _renorm_level(
         return _renorm_power_brute(
             s, x, n, lambda word, j, dj: V.numerator(word[j : j + V.order]) / float(dj) ** V.alpha, V.order
         )
-    require_kbonacci(s)
     if n < s.k:
         raise ValueError(f"closed-form mode requires n >= k = {s.k}")
     if V.order > s.ladder_length(n - 1) + 1:
         raise ValueError(f"potential order {V.order} exceeds s.ladder_length({n - 1}) + 1")
-    big_delta = delta_after_power(s, w, n)
+    big_delta = _delta_from_counts(s, counts, n)
     block = s.power_lengths(n)[int(w[0])]
     if numer is not None:
         return numer * _inverse_power_sum(V.alpha, big_delta - block + 1, big_delta)
@@ -100,11 +105,12 @@ def _renorm_level(
 
 
 # Above this span the Euler-Maclaurin path is faster than summing term by
-# term for every alpha: the measured crossover is about 2,000 terms at
-# non-integer alpha and a few hundred at alpha = 1 or 2 (CPython 3.11 on
-# a 2-vCPU Xeon).  It must stay above the spans |s^n(x_0)| of verify's
-# closed form = brute force check (n = k..k+2), whose term-by-term sums
-# it keeps bit for bit.
+# term for every alpha: the measured crossover is about 800 terms at
+# non-integer alpha, 340 at alpha = 1 and 200 at alpha = 2, near 10^9
+# (CPython 3.11.7 on a 2-vCPU Xeon).  It stays at 2,000 all the same:
+# it must stay above the spans |s^n(x_0)| of verify's closed form = brute
+# force check (n = k..k+2), whose term-by-term sums it keeps bit for bit,
+# and the golden outputs fix which sums are term by term.
 _DIRECT_SPAN = 2_000
 
 # B_{2j} / (2j)! for j = 1..6, as exact fractions.
@@ -124,10 +130,29 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
     bounded by the first omitted correction, below 1e-21 of the sum for
     alpha <= 4.  The integral (b^(1-alpha) - a^(1-alpha)) / (1 - alpha)
     loses to cancellation about the digits of b / ((b - a)|1 - alpha|),
-    so they are carried on top of 34.  A power x^-alpha is
-    exp(-alpha ln x), two correctly rounded functions at a fraction of the
-    cost of the correctly rounded power, except at integral alpha, where
-    the exact integer power is cheaper still.
+    so they are carried on top of 34, counted from the logarithms of the
+    integers, which do not overflow as their float quotient can.  At
+    integral alpha a power x^-alpha is the exact integer power; otherwise
+    it is _exp(-alpha _ln(x)), and at alpha = 1 the integral ln(b / a) is
+    one _ln seeded with log(b) - log(a), so no integer past the largest
+    float becomes one.
+
+    Both helpers are within 0.6 ulp of the working precision p.  _exp
+    sums the Taylor series of e^(y / 2^m), |y / 2^m| <= 2^-h, until the
+    first omitted term is below 10^-(p + g), then squares the sum m times.
+    A squaring doubles the relative error, so the series remainder, the
+    rounding of its n steps and that of y / 2^m grow to at most
+    2^m (n + 3) 10^-(p + g), and g = m log10(2) + 4 guard digits keep that
+    below 10^-p / 20.  _ln starts from L = log(x) in floats, so
+    t = x e^-L - 1 is below 1e-12, and ln x = L + t - t^2/2 + t^3/3 leaves
+    a Newton residual of O(t^4), below 1e-48; the series runs on to
+    p / -log10|t| terms for higher precisions, at 3 guard digits.
+    libmpdec's ln and exp, which this path replaced, are correctly
+    rounded, so each power differs from theirs by at most about one unit
+    in the 34th digit, and the sum, rounded to float once, differs below
+    1e-32 of itself, far inside a double's half ulp of 1.1e-16: the two
+    floats could differ only for a sum within 1e-32 of a midpoint between
+    doubles.
     """
     if hi < lo:
         return 0.0
@@ -139,13 +164,16 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
     with localcontext() as ctx:
         ctx.prec = 34
         if alpha != 1.0:
-            ctx.prec += max(0, math.ceil(math.log10(hi / (hi - a) / abs(1.0 - alpha))))
+            ctx.prec += max(0, math.ceil(math.log10(hi) - math.log10(hi - a) - math.log10(abs(1.0 - alpha))))
         s = Decimal(alpha)
-        power = (lambda x: x**-s) if float(alpha).is_integer() else (lambda x: (-s * x.ln()).exp())
-        total = sum(power(Decimal(d)) for d in range(lo, a))
+        if float(alpha).is_integer():
+            power = lambda d: Decimal(d) ** -s
+        else:
+            power = lambda d: _exp(-s * _ln(Decimal(d), math.log(d)))
+        total = sum(map(power, range(lo, a)))
         A, B = Decimal(a), Decimal(hi)
-        fa, fb = power(A), power(B)
-        total += (B / A).ln() if alpha == 1.0 else (B * fb - A * fa) / (1 - s)
+        fa, fb = power(a), power(hi)
+        total += _ln(B / A, math.log(hi) - math.log(a)) if alpha == 1.0 else (B * fb - A * fa) / (1 - s)
         total += (fa + fb) / 2
         # f^(2j-1)(x) = -(s)_(2j-1) x^(-s-2j+1), (s)_m the rising factorial
         rising, da, db = s, fa / A, fb / B
@@ -155,6 +183,61 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
             da /= A * A
             db /= B * B
         return float(total)
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_plan(prec: int, magnitude: int) -> tuple[int, int, tuple]:
+    """The working precision, the halvings m and the Horner coefficients
+    n!/i!, i = n..0, for _exp at precision prec and |y| < 10^magnitude.
+    After m halvings |r| = |y| / 2^m <= 2^-h, h the square root of the
+    bits of prec, which balances the n terms against the m squarings."""
+    from decimal import Decimal
+
+    h = round(math.sqrt(prec * math.log2(10)))
+    m = h + math.ceil(max(magnitude, 0) * math.log2(10))
+    work = prec + math.ceil(m * math.log10(2)) + 4
+    n = 1  # the first omitted term r^(n+1) / (n+1)! must fall below 10^-work
+    while h * (n + 1) + math.log2(math.factorial(n + 1)) < work * math.log2(10):
+        n += 1
+    return work, m, tuple(Decimal(math.factorial(n) // math.factorial(i)) for i in range(n, -1, -1))
+
+
+def _exp(y):
+    """e^y for a Decimal y, within 0.6 ulp of the current precision: the
+    Taylor series of e^(y / 2^m) by Horner's rule, squared m times (see
+    _inverse_power_sum for the error argument)."""
+    import decimal
+
+    work, m, coefficients = _exp_plan(decimal.getcontext().prec, y.adjusted() + 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = work
+        r = y / (1 << m)
+        acc = coefficients[0]
+        for c in coefficients[1:]:
+            acc = acc * r + c
+        acc /= coefficients[-1]
+        for _ in range(m):
+            acc *= acc
+    return +acc
+
+
+def _ln(x, guess: float):
+    """ln x for a Decimal x > 0, within 0.6 ulp of the current precision,
+    from guess = math.log of x in floats: one Newton step L + ln(1 + t),
+    t = x e^-L - 1, with the series of ln(1 + t) (see _inverse_power_sum)."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec += 3
+        L = decimal.Decimal(guess)
+        t = x * _exp(-L) - 1
+        if t:
+            terms = -(-ctx.prec // max(1, -1 - t.adjusted()))
+            series = 0
+            for i in range(terms, 0, -1):
+                series = decimal.Decimal(1) / i - t * series
+            L += t * series
+    return +L
 
 
 def _renorm_power_brute(
@@ -274,11 +357,12 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
         raise ValueError(f"n_max must be at least k = {s.k}, got {n_max}")
     V.validate_for(s)  # once, and before the subshift's early zeros
     w = None if x.in_subshift else maximal_prefix(s, x)
+    counts = None if w is None else _letter_counts(s, w)
     numer = _constant_numerator(s, V)
     rows = []
     for n in range(n_max + 1):
         method = "brute-force" if n < s.k else "closed-form"
-        value = 0.0 if w is None else _renorm_level(s, V, x, w, n, method, numer)
+        value = 0.0 if w is None else _renorm_level(s, V, x, w, counts, n, method, numer)
         rows.append((n, value, method))
         if value > DIVERGENCE_THRESHOLD:
             break

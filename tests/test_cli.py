@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kbonacci.recognition
+import kbonacci.renorm
 from kbonacci import Potential, cli, renorm_power
 from kbonacci.cli import main
 from kbonacci.renorm import MODES
@@ -272,6 +273,35 @@ def test_one_break_bisection_per_configuration(argv, bisections, monkeypatch, ca
     assert code == 0
     assert len(calls) == bisections
 
+
+
+@pytest.mark.parametrize("argv, configurations", [(["delta", "--k", "3", "--samples", "4", "--n-max", "20"], 4),
+                                                  (["renorm", "--mode", "study", "--k", "3", "--samples", "2",
+                                                    "--n-max", "20"], 2)])
+def test_one_letter_count_and_kbonacci_check_per_configuration(argv, configurations, monkeypatch, capsys):
+    # every level's break is read off one count of the letters of w, and
+    # the delta column still equals delta_after_power level by level
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for module in (cli, kbonacci.renorm):
+        monkeypatch.setattr(module, "_letter_counts", counted("count", module._letter_counts))
+        monkeypatch.setattr(module, "require_kbonacci", counted("check", module.require_kbonacci))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert calls.count("count") == calls.count("check") == configurations
+    if argv[0] == "delta":
+        s = kbonacci.kbonacci(3)
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert len(rows) == configurations * 18
+        for _, text, _, n, delta in rows:
+            w = kbonacci.maximal_prefix(s, kbonacci.Configuration.from_text(text))
+            assert int(delta) == kbonacci.delta_after_power(s, w, int(n))
 
 def test_determinism(tmp_path):
     a = tmp_path / "a.csv"

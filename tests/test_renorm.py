@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from decimal import Decimal, localcontext
 
 import mpmath
 import pytest
@@ -27,7 +28,16 @@ from kbonacci import (
 )
 from kbonacci import recognition, renorm, verify
 from kbonacci.errors import UncertifiedConfigurationError
-from kbonacci.renorm import MODES, _DIRECT_SPAN, _constant_numerator, _inverse_power_sum, _sweep_breaks
+from kbonacci.renorm import (
+    MODES,
+    _BERNOULLI_OVER_FACTORIAL,
+    _DIRECT_SPAN,
+    _constant_numerator,
+    _exp,
+    _inverse_power_sum,
+    _ln,
+    _sweep_breaks,
+)
 from kbonacci.sampling import sample_configurations
 
 ZEROS = Configuration("0000", "const", "0")
@@ -381,6 +391,66 @@ def test_inverse_power_sum_over_integers_past_the_largest_float(alpha):
     with mpmath.workdps(50):
         exact = float(mpmath.zeta(alpha, lo) - mpmath.zeta(alpha, hi + 1))
     assert _inverse_power_sum(alpha, lo, hi) == exact
+
+
+def _libmpdec_inverse_power_sum(alpha, lo, hi):
+    """_inverse_power_sum's Euler-Maclaurin path with libmpdec's correctly
+    rounded ln and exp in place of _ln and _exp, as it was before the
+    kernel except that the cancellation digits are counted from the
+    integers' logarithms: the oracle the kernel must match float for float."""
+    a = max(lo, 64)
+    with localcontext() as ctx:
+        ctx.prec = 34
+        if alpha != 1.0:
+            ctx.prec += max(0, math.ceil(math.log10(hi) - math.log10(hi - a) - math.log10(abs(1.0 - alpha))))
+        s = Decimal(alpha)
+        power = (lambda x: x**-s) if float(alpha).is_integer() else (lambda x: (-s * x.ln()).exp())
+        total = sum(power(Decimal(d)) for d in range(lo, a))
+        A, B = Decimal(a), Decimal(hi)
+        fa, fb = power(A), power(B)
+        total += (B / A).ln() if alpha == 1.0 else (B * fb - A * fa) / (1 - s)
+        total += (fa + fb) / 2
+        rising, da, db = s, fa / A, fb / B
+        for j, (num, den) in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+            total -= num * rising * (db - da) / den
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            da /= A * A
+            db /= B * B
+        return float(total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INVERSE_POWER_ALPHAS | st.integers(min_value=1, max_value=4).map(float),
+       st.integers(min_value=1, max_value=10**12), st.integers(min_value=_DIRECT_SPAN + 1, max_value=10**9))
+@example(1.0 + 2**-40, 64, _DIRECT_SPAN + 1)
+@example(1.0 - 2**-40, 10**6, 10**9)
+@example(0.9999999999999998, 887871144, _DIRECT_SPAN + 1)
+@example(0.5, 10**400, _DIRECT_SPAN + 1)  # about 430 digits, for the integral's cancellation
+@example(1.5, 10**400, 10**399)  # hi = 11 * 10^399, both ends past the largest float
+@example(1.0, 10**400, 10**399)  # ln(hi / a) seeded with log(hi) - log(a)
+def test_inverse_power_sum_is_the_libmpdec_sum(alpha, lo, span):
+    hi = lo + span
+    assert _inverse_power_sum(alpha, lo, hi) == _libmpdec_inverse_power_sum(alpha, lo, hi)
+
+
+def _ulps(got, exact, prec):
+    """|got - exact| in units of the last of prec digits of the Decimal got."""
+    return abs(mpmath.mpf(str(got)) - exact) / mpmath.mpf(10) ** (got.adjusted() - prec + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([34, 60, 450]), st.floats(min_value=-2000.0, max_value=100.0),
+       st.integers(min_value=1, max_value=10**400))
+@example(34, -2000.0, 10**400)
+@example(450, 100.0, 2)
+@example(60, 0.0, 1)
+def test_exp_and_ln_are_within_0_6_ulp_of_mpmath(prec, y, x):
+    with localcontext() as ctx:
+        ctx.prec = prec
+        power, log = _exp(Decimal(y)), _ln(Decimal(x), math.log(x))
+    with mpmath.workdps(prec + 10):
+        assert _ulps(power, mpmath.exp(mpmath.mpf(y)), prec) <= 0.6
+        assert _ulps(log, mpmath.log(x), prec) <= 0.6
 
 
 def test_powers_reject_a_head_without_its_break(s3):
