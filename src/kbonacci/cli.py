@@ -40,6 +40,9 @@ MAX_BETA_GRID_POINTS = 10**6
 # --samples configurations; all are drawn before the first row, and this
 # many already take about 40 s and 0.4 GB at k = 3
 MAX_SAMPLES = 10**6
+# --n-max levels; every break at k <= 10 then has fewer than the 4,300
+# digits CPython turns into text, and a study at k = 10 takes about 13 s
+MAX_LEVELS = 10**4
 
 
 class CsvWriter:
@@ -77,18 +80,15 @@ def _config_line(args: argparse.Namespace, s: Substitution) -> str:
 
 def _load_substitution(args: argparse.Namespace) -> Substitution:
     if args.substitution:
-        with open(args.substitution) as fh:
+        with open(args.substitution, encoding="utf-8") as fh:
             return Substitution.from_text(fh.read())
     return kbonacci(args.k)
 
 
 def _load_configurations(args: argparse.Namespace, s: Substitution) -> list[Configuration]:
     if args.config:
-        with open(args.config) as fh:
-            configs = [Configuration.from_text(line) for line in fh if line.strip()]
-        for x in configs:
-            x.check_letters(s.k)
-        return configs
+        with open(args.config, encoding="utf-8") as fh:
+            return [Configuration.from_text(line) for line in fh if line.strip()]
     return sample_configurations(s, args.samples, args.seed)
 
 
@@ -103,6 +103,13 @@ def sample_count(text: str) -> int:
     value = non_negative_int(text)
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, got {value}")
+    return value
+
+
+def level_count(text: str) -> int:
+    value = non_negative_int(text)
+    if value > MAX_LEVELS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_LEVELS} levels, got {value}")
     return value
 
 
@@ -254,16 +261,16 @@ COMMANDS = {
     )),
     "delta": ("break positions and closed-form checks", cmd_delta, _COMMON + _SEED + (
         ("--samples", sample_count, 10, None, None),
-        ("--n-max", non_negative_int, 6, None, None),
+        ("--n-max", level_count, 6, None, None),
         ("--config", None, None, None, "file of configuration lines (head=... tail=...)"),
     )),
     "recog": ("cut-point scans of the fixed point", cmd_recog, _COMMON + (
-        ("--n-max", non_negative_int, 6, None, None),
+        ("--n-max", level_count, 6, None, None),
         ("--window", non_negative_int, 100_000, None, None),
     )),
     "spectral": ("Perron data and growth coefficients", cmd_spectral, _COMMON),
     "renorm": ("renormalization iterates", cmd_renorm, _COMMON + _SEED + _ALPHA + (
-        ("--n-max", non_negative_int, 20, None, None),
+        ("--n-max", level_count, 20, None, None),
         ("--samples", sample_count, 5, None, None),
         ("--config", None, None, None, "file of configuration lines"),
         ("--mode", None, "study", (*MODES, "study"), None),

@@ -7,7 +7,7 @@ import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .substitution import Substitution
+from .substitution import LETTERS, Substitution
 
 
 class CylinderFunction(NamedTuple("CylinderFunction", [("order", int), ("table", Mapping), ("default", "float | None")])):
@@ -51,10 +51,9 @@ class CylinderFunction(NamedTuple("CylinderFunction", [("order", int), ("table",
         if len(prefix) >= self.order:
             v = self(prefix)
             return v, v
-        letters = [str(a) for a in range(k)]
         values = [
             self(prefix + "".join(tail))
-            for tail in itertools.product(letters, repeat=self.order - len(prefix))
+            for tail in itertools.product(LETTERS[:k], repeat=self.order - len(prefix))
         ]
         return min(values), max(values)
 

@@ -80,9 +80,8 @@ def birkhoff_bounds(s: Substitution, V: Potential, n: int) -> tuple[np.ndarray, 
     # per-suffix enumeration in tests/test_pressure.py bit for bit.
     powers = np.array([float(q) ** V.alpha for q in range(n + 1)])
     # numerator_range(u) only reads u[:order]: one (2, k^r) table per prefix length r
-    letters = [str(a) for a in range(k)]
     numer = {
-        r: np.array([V.numerator_range("".join(p), k) for p in itertools.product(letters, repeat=r)]).T
+        r: np.array([V.numerator_range("".join(p), k) for p in itertools.product(s.letters, repeat=r)]).T
         for r in range(1, min(n, V.order) + 1)
     }
     denom = np.zeros(1)  # |break(u)|^alpha, over the words u of the current length

@@ -51,11 +51,6 @@ class Configuration(NamedTuple("Configuration", [("head", str), ("tail_kind", st
     def in_subshift(self) -> bool:
         return self.tail_kind == "orbit"
 
-    def check_letters(self, k: int) -> None:
-        """Raise ValueError if the head or the tail uses a letter outside 0..k-1."""
-        if not self.in_subshift and not set(self.head + str(self.tail_data)) <= {str(a) for a in range(k)}:
-            raise ValueError(f"configuration {self.to_text()!r} uses letters outside the alphabet of size {k}")
-
     def prefix(self, s: Substitution, length: int) -> str:
         """First `length` letters of the configuration."""
         if length < 0:
@@ -138,12 +133,14 @@ def maximal_prefix(s: Substitution, x: Configuration) -> str:
     """The longest language prefix w of x, so delta(x) = |w|.
 
     Raises ValueError on the subshift, where every prefix is in the
-    language, and on a letter outside the alphabet of s, and
-    UncertifiedConfigurationError if the head does not contain its break.
+    language, and on a letter of the head or the tail outside s.letters,
+    and UncertifiedConfigurationError if the head does not contain its
+    break.  Every command meets its configurations here first.
     """
     if x.in_subshift:
         raise ValueError("operation requires a configuration outside the subshift")
-    x.check_letters(s.k)
+    if not set(x.head + str(x.tail_data)) <= set(s.letters):
+        raise ValueError(f"configuration {x.to_text()!r} uses letters outside the alphabet of size {s.k}")
     return x.head[: brute_delta(s, x.head)]
 
 
@@ -164,7 +161,7 @@ def delta_after_power(s: Substitution, w: str, n: int) -> int:
 
 def _letter_counts(s: Substitution, w: str) -> tuple[int, ...]:
     """The number of each letter of s in w."""
-    return tuple(w.count(str(a)) for a in range(s.k))
+    return tuple(map(w.count, s.letters))
 
 
 def _delta_from_counts(s: Substitution, counts: tuple[int, ...], n: int) -> int:

@@ -99,7 +99,7 @@ def _renorm_level(
     code = np.zeros(block, dtype=np.int64)
     for t in range(V.order):
         code = code * s.k + arr[t : t + block]
-    table = np.array([V.numerator("".join(u)) for u in itertools.product(map(str, range(s.k)), repeat=V.order)])
+    table = np.array([V.numerator("".join(u)) for u in itertools.product(s.letters, repeat=V.order)])
     depths = big_delta - np.arange(block, dtype=np.float64)
     return math.fsum((table[code] * depths ** (-V.alpha)).tolist())
 
@@ -130,8 +130,11 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
     bounded by the first omitted correction, below 1e-21 of the sum for
     alpha <= 4.  The integral (b^(1-alpha) - a^(1-alpha)) / (1 - alpha)
     loses to cancellation about the digits of b / ((b - a)|1 - alpha|),
-    so they are carried on top of 34, counted from the logarithms of the
-    integers, which do not overflow as their float quotient can.  At
+    and ln(b / a) at alpha = 1 those of b / (b - a), so one rule serves
+    every alpha: the precision is 34 digits plus
+    ceil(log10 b - log10(b - a) - log10(|1 - alpha| or 1)), when that is
+    positive, counted from the logarithms of the integers, which do not
+    overflow as their float quotient can.  At
     integral alpha a power x^-alpha is the exact integer power; otherwise
     it is _exp(-alpha _ln(x)), and at alpha = 1 the integral ln(b / a) is
     one _ln seeded with log(b) - log(a), so no integer past the largest
@@ -162,9 +165,7 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
 
     a = max(lo, 64)
     with localcontext() as ctx:
-        ctx.prec = 34
-        if alpha != 1.0:
-            ctx.prec += max(0, math.ceil(math.log10(hi) - math.log10(hi - a) - math.log10(abs(1.0 - alpha))))
+        ctx.prec = 34 + max(0, math.ceil(math.log10(hi) - math.log10(hi - a) - math.log10(abs(1.0 - alpha) or 1)))
         s = Decimal(alpha)
         if float(alpha).is_integer():
             power = lambda d: Decimal(d) ** -s
@@ -302,7 +303,7 @@ def _fixed_point_from(s: Substitution, w: str) -> float:
     """fixed_point_U given w = maximal_prefix(s, x)."""
     lam, v = _perron_pair(s.k)
     x0 = int(w[0])
-    denom = lam / (lam - 1.0) + sum(v[a] * w.count(str(a)) for a in range(s.k)) - v[x0]
+    denom = lam / (lam - 1.0) + sum(v_a * w.count(a) for v_a, a in zip(v, s.letters)) - v[x0]
     return math.log1p(v[x0] / denom)
 
 

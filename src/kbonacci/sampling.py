@@ -16,18 +16,17 @@ def random_certified_configuration(s: Substitution, rng: random.Random) -> Confi
     three arbitrary letters and a random constant tail follow the break.
     """
     index = s.language(11)
-    letters = [str(a) for a in range(s.k)]
     lengths = list(range(2, 11))
     rng.shuffle(lengths)
     for n in lengths:
         words = sorted(index.words(n))
         rng.shuffle(words)
         for w in words[: min(len(words), 8)]:
-            blocked = [a for a in letters if w + a not in index.words(n + 1)]
+            blocked = [a for a in s.letters if w + a not in index.words(n + 1)]
             if blocked:
                 head = w + rng.choice(blocked)
-                head += "".join(rng.choice(letters) for _ in range(rng.randrange(4)))
-                return Configuration(head, "const", rng.choice(letters))
+                head += "".join(rng.choice(s.letters) for _ in range(rng.randrange(4)))
+                return Configuration(head, "const", rng.choice(s.letters))
     raise ValueError("could not find a certified configuration (language too permissive?)")
 
 

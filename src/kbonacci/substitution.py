@@ -1,7 +1,9 @@
 """Substitution morphisms, powers, incidence matrices and fixed points.
 
-Words are plain Python strings of decimal digits, one digit per letter,
-so the alphabet size is capped at 10 for the word machinery.  Spectral
+Words are plain Python strings over LETTERS, the ASCII digits, one digit
+per letter, so the alphabet size is capped at 10 for the word machinery.
+A substitution on k letters spells them ``s.letters = LETTERS[:k]``, and
+every word that enters it is checked against them.  Spectral
 quantities that only need the alphabet size (Perron root, eigenvectors)
 accept larger k directly, see :mod:`kbonacci.spectral`.
 """
@@ -15,7 +17,8 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
-MAX_ALPHABET = 10
+LETTERS = "0123456789"
+MAX_ALPHABET = len(LETTERS)
 
 DEFAULT_LENGTH_BUDGET = 10**8
 
@@ -26,13 +29,6 @@ class _ImageTable(dict):
 
     def __missing__(self, code: int):
         raise ValueError(f"letter {chr(code)!r} is outside the alphabet")
-
-
-def _as_letter(a) -> int:
-    a = int(a)
-    if a < 0:
-        raise ValueError(f"letter must be nonnegative, got {a}")
-    return a
 
 
 class Substitution:
@@ -51,14 +47,17 @@ class Substitution:
         k = len(images)
         if k < 1 or k > MAX_ALPHABET:
             raise ValueError(f"alphabet size must be in [1, {MAX_ALPHABET}], got {k}")
+        self.letters = LETTERS[:k]
         for a, w in enumerate(images):
             if len(w) == 0:
                 raise ValueError(f"substitution must be non-erasing, image of {a} is empty")
-            if any(not c.isdigit() or int(c) >= k for c in w):
+            if not set(w) <= set(self.letters):
                 raise ValueError(f"image of {a} ({w!r}) uses letters outside the alphabet")
         self.images = images
         self.k = k
-        self._table = _ImageTable((ord(str(a)), w) for a, w in enumerate(images))
+        self._table = _ImageTable(zip(map(ord, self.letters), images))
+        # the number of each letter, keyed by the number and by the letter
+        self._numbers = {key: a for a, c in enumerate(self.letters) for key in (a, c)}
         self.length_budget = int(length_budget)
         self._power_cache: dict[tuple[int, int], str] = {}
         self._cached_letters = 0
@@ -81,27 +80,30 @@ class Substitution:
         return w.translate(self._table)
 
     def power_image(self, n: int, a) -> str:
-        """s^n(a), with s^0 the identity.  Cached.
+        """s^n(a), with s^0 the identity, for a letter a given as its number
+        in range(k) or as one character of ``self.letters``; anything else
+        raises ValueError.  Cached.
 
         s^n(a) is s^{n-m}(a) translated through the images s^m(c),
         m = n // 2, which joins whole images.  Its pieces are cached first,
         then the budget is checked before the join."""
-        a = _as_letter(a)
-        if a >= self.k:
-            raise ValueError(f"letter {a} not in alphabet of size {self.k}")
+        try:
+            a = self._numbers[a]
+        except (KeyError, TypeError):
+            raise ValueError(f"letter {a!r} not in alphabet of size {self.k}") from None
         if n < 0:
             raise ValueError("power must be nonnegative")
         if n == 0:
-            return str(a)
+            return self.letters[a]
         word = self._power_cache.get((n, a))
         if word is not None:
             return word
         if n == 1:
-            head, table = str(a), self._table
+            head, table = self.letters[a], self._table
         else:
             m = n // 2
             head = self.power_image(n - m, a)
-            table = {ord(str(c)): self.power_image(m, c) for c in range(self.k)}
+            table = {ord(c): self.power_image(m, c) for c in self.letters}
         length = self.power_lengths(n)[a]
         if self._cached_letters + length > self.length_budget:
             raise BudgetExceededError(
@@ -113,9 +115,8 @@ class Substitution:
         return word
 
     def apply_power(self, n: int, w: str) -> str:
-        """s^n(w) assembled from cached letter images."""
-        if n == 0:
-            return w
+        """s^n(w) assembled from cached letter images.  Raises ValueError on
+        a letter outside the alphabet, as apply does, at n = 0 too."""
         return "".join(self.power_image(n, c) for c in w)
 
     def power_lengths(self, n: int) -> tuple[int, ...]:

@@ -433,6 +433,43 @@ def test_samples_at_the_cap_parse():
     assert cli._read_options("delta", ["--samples", str(cli.MAX_SAMPLES)]).samples == cli.MAX_SAMPLES
 
 
+@pytest.mark.parametrize("n_max", [str(cli.MAX_LEVELS + 1), "100000000000000000000000"])
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize("command", [["delta", "--k", "2", "--samples", "1"], ["recog", "--k", "2"],
+                                     ["renorm", "--k", "2", "--samples", "1", "--mode", "closed-form"]])
+def test_n_max_past_the_cap_is_a_usage_error(command, joined, n_max, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a substitution was loaded")
+
+    # a level count past the cap is refused while parsing, before any length table grows
+    monkeypatch.setattr(cli, "_load_substitution", refuse)
+    argv = command + ([f"--n-max={n_max}"] if joined else ["--n-max", n_max])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert_usage_error(capsys, exc.value.code)
+
+
+@pytest.mark.parametrize("joined", [False, True])
+@pytest.mark.parametrize("command", ["delta", "recog", "renorm"])
+def test_n_max_at_the_cap_parses(command, joined):
+    flag = [f"--n-max={cli.MAX_LEVELS}"] if joined else ["--n-max", str(cli.MAX_LEVELS)]
+    assert cli._read_options(command, flag).n_max == cli.MAX_LEVELS
+    assert cli.build_parser().parse_args([command, *flag]).n_max == cli.MAX_LEVELS
+
+
+@pytest.mark.parametrize("command, n_column", [(["delta", "--k", "10"], 3),
+                                               (["renorm", "--mode", "closed-form", "--k", "2"], 2)])
+def test_breaks_at_the_level_cap_print(command, n_column, capsys):
+    # the breaks at k = 10 and n = 10^4 have about 3,010 digits, under the
+    # 4,300 that CPython turns into text
+    code, out = run(capsys, *command, "--samples", "1", f"--n-max={cli.MAX_LEVELS}")
+    assert code == 0
+    last = out.splitlines()[-1].split(",")
+    assert last[n_column] == str(cli.MAX_LEVELS)
+    if command[0] == "delta":
+        assert 3000 < len(last[4]) < 4300
+
+
 def test_empty_beta_grid_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pressure", "--beta-grid", "0.01:64:0"])
@@ -521,6 +558,11 @@ MALFORMED_CONFIG_LINES = {
     "head=0000 tail=cyclic:0": "unknown tail kind 'cyclic'",
     "head= tail=orbit:-3": "orbit offset must be nonnegative, got -3",
     "head=01 tail=orbit:3": "an orbit tail takes no head, got head '01'",
+    # refused by maximal_prefix, where a configuration first meets the substitution
+    "head=0190 tail=const:0": "uses letters outside the alphabet of size 2",
+    "head=0000 tail=periodic:012": "uses letters outside the alphabet of size 2",
+    "head=01\u06610 tail=const:0": "uses letters outside the alphabet of size 2",
+    "head=0100 tail=const:\u0661": "uses letters outside the alphabet of size 2",
 }
 
 
@@ -528,11 +570,21 @@ MALFORMED_CONFIG_LINES = {
 @pytest.mark.parametrize("line", MALFORMED_CONFIG_LINES)
 def test_malformed_configuration_line_names_its_text(command, line, tmp_path, capsys):
     cfg = tmp_path / "points.txt"
-    cfg.write_text(line + "\n")
+    cfg.write_text(line + "\n", encoding="utf-8")
     code = main([command, "--k", "2", "--config", str(cfg)])
     (error,) = capsys.readouterr().err.splitlines()
     assert code == 2
     assert error.startswith(f"error: configuration {line!r}") and MALFORMED_CONFIG_LINES[line] in error
+
+
+def test_substitution_file_with_an_image_outside_the_alphabet_is_a_usage_error(tmp_path, capsys):
+    # int() reads the Arabic-Indic digit as 1; the constructor refuses it
+    sub = tmp_path / "arabic-indic.txt"
+    sub.write_text("2\n0\u0661\n0\n", encoding="utf-8")
+    code = main(["lang", "--substitution", str(sub)])
+    (error,) = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert error == "error: image of 0 ('0\u0661') uses letters outside the alphabet"
 
 
 def test_orbit_configuration_has_no_delta_after_power(tmp_path, capsys):
@@ -619,16 +671,20 @@ def counts(large: str):
     return st.sampled_from(["-1", "0", "1", "2", large, "x"])
 
 
-# refused while parsing: sampling that many configurations would not end
+# refused while parsing: sampling that many configurations would not end,
+# and a length table that deep would not fit
 PAST_THE_SAMPLES_CAP = st.sampled_from([str(cli.MAX_SAMPLES + 1), "100000000000000000000000"])
+PAST_THE_LEVELS_CAP = st.sampled_from([str(cli.MAX_LEVELS + 1), "100000000000000000000000"])
 ALPHAS = st.sampled_from(["1", "0.5", "2", "0", "-1", "nan", "inf", "x", "400", "1e300"])
 COMMAND_OPTIONS = {
     "lang": {"depth": counts("60")},
-    "delta": {"samples": counts("30") | PAST_THE_SAMPLES_CAP, "n-max": counts("40"),
+    "delta": {"samples": counts("30") | PAST_THE_SAMPLES_CAP, "n-max": counts("40") | PAST_THE_LEVELS_CAP,
               "seed": st.sampled_from(["0", "7", "-3"]), "config": st.sampled_from(sorted(CONFIG_FILES))},
-    "recog": {"n-max": counts("40"), "window": st.sampled_from(["-1", "0", "1", "50", "20000", str(10**9)])},
+    "recog": {"n-max": counts("40") | PAST_THE_LEVELS_CAP,
+              "window": st.sampled_from(["-1", "0", "1", "50", "20000", str(10**9)])},
     "spectral": {},
-    "renorm": {"alpha": ALPHAS, "n-max": counts("5"), "samples": counts("3") | PAST_THE_SAMPLES_CAP,
+    "renorm": {"alpha": ALPHAS, "n-max": counts("5") | PAST_THE_LEVELS_CAP,
+               "samples": counts("3") | PAST_THE_SAMPLES_CAP,
                "mode": st.sampled_from(["closed-form", "brute-force", "study", "nope"]),
                "config": st.sampled_from(sorted(CONFIG_FILES))},
     "pressure": {"alpha": ALPHAS, "depth": counts("40"),
@@ -651,7 +707,7 @@ def input_files(tmp_path_factory):
     for kind, files in (("substitution", SUBSTITUTION_FILES), ("config", CONFIG_FILES)):
         for name, text in files.items():
             paths[kind, name] = root / f"{kind}-{name}.txt"
-            paths[kind, name].write_text(text)
+            paths[kind, name].write_text(text, encoding="utf-8")
     paths["out", "ok"] = root / "out.csv"
     paths["out", "missing-dir"] = root / "missing" / "out.csv"
     return paths

@@ -393,16 +393,27 @@ def test_inverse_power_sum_over_integers_past_the_largest_float(alpha):
     assert _inverse_power_sum(alpha, lo, hi) == exact
 
 
+@pytest.mark.parametrize("span", [_DIRECT_SPAN + 1, 10**6])
+@pytest.mark.parametrize("lo", [10**25, 10**34, 10**40])
+def test_inverse_power_sum_at_alpha_1_carries_its_cancellation_digits(lo, span):
+    # ln(hi / a) loses the digits of hi / (hi - a) as the integral at any
+    # other alpha does: about 37 of them at lo = 10^40 and span 2,001,
+    # where 34 digits left 1e-40
+    hi = lo + span
+    with mpmath.workdps(80):
+        exact = float(mpmath.psi(0, hi + 1) - mpmath.psi(0, lo))
+    assert abs(_inverse_power_sum(1.0, lo, hi) - exact) <= math.ulp(exact)
+
+
 def _libmpdec_inverse_power_sum(alpha, lo, hi):
     """_inverse_power_sum's Euler-Maclaurin path with libmpdec's correctly
     rounded ln and exp in place of _ln and _exp, as it was before the
     kernel except that the cancellation digits are counted from the
-    integers' logarithms: the oracle the kernel must match float for float."""
+    integers' logarithms, at alpha = 1 too: the oracle the kernel must
+    match float for float."""
     a = max(lo, 64)
     with localcontext() as ctx:
-        ctx.prec = 34
-        if alpha != 1.0:
-            ctx.prec += max(0, math.ceil(math.log10(hi) - math.log10(hi - a) - math.log10(abs(1.0 - alpha))))
+        ctx.prec = 34 + max(0, math.ceil(math.log10(hi) - math.log10(hi - a) - math.log10(abs(1.0 - alpha) or 1)))
         s = Decimal(alpha)
         power = (lambda x: x**-s) if float(alpha).is_integer() else (lambda x: (-s * x.ln()).exp())
         total = sum(power(Decimal(d)) for d in range(lo, a))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import FixedPointStream, Substitution, check_recurrence, kbonacci
-from kbonacci.substitution import is_primitive, occurrence_starts
+from kbonacci.substitution import LETTERS, is_primitive, occurrence_starts
 from kbonacci.errors import BudgetExceededError
 
 
@@ -287,7 +287,48 @@ def test_apply_matches_joined_images(images, data):
 @pytest.mark.parametrize("images", APPLY_SUBSTITUTIONS)
 def test_apply_rejects_letters_outside_the_alphabet(images):
     s = Substitution(images)
-    # int() reads the Arabic-Indic digit as 3; it is still not a letter.
-    for letter in (str(s.k), "a", " ", "\u0663"):
+    # int() reads the Arabic-Indic digits as 1 and 3; they are still not
+    # letters, for apply, apply_power and power_image alike
+    for letter in (str(s.k), "a", " ", "\u0661", "\u0663"):
         with pytest.raises(ValueError):
             s.apply("0" + letter)
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="not in alphabet"):
+                s.power_image(n, letter)
+            with pytest.raises(ValueError, match="not in alphabet"):
+                s.apply_power(n, "0" + letter)
+    for letter in (-1, s.k, 0.5, None, [0], "", "00"):
+        with pytest.raises(ValueError, match="not in alphabet"):
+            s.power_image(2, letter)
+    for a, c in enumerate(s.letters):
+        assert s.power_image(0, a) == s.power_image(0, c) == c
+        assert s.power_image(3, a) == s.power_image(3, c) == s.apply_power(3, c)
+
+
+@st.composite
+def images_over_digits(draw):
+    """k images over the first k ASCII digits, or, half the time, over
+    those, the other ASCII digits and every Unicode decimal digit."""
+    k = draw(st.integers(1, 10))
+    characters = st.sampled_from(LETTERS[:k])
+    if draw(st.booleans()):
+        characters |= st.sampled_from(LETTERS) | st.characters(categories=("Nd",))
+    return tuple(draw(st.lists(st.text(characters, min_size=1, max_size=3), min_size=k, max_size=k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(images_over_digits())
+@example(("0\u0661", "0"))  # was accepted, with |s^3(0)| = 4 letters against a length table of 5
+@example(("0\u0663", "0", "1"))
+@example(("01", "0\uff11"))  # a fullwidth digit one
+def test_a_substitution_takes_exactly_the_images_over_its_letters(images):
+    k = len(images)
+    if not all(set(w) <= set(LETTERS[:k]) for w in images):
+        with pytest.raises(ValueError, match="uses letters outside the alphabet"):
+            Substitution(images)
+        return
+    s = Substitution(images)
+    assert s.letters == LETTERS[:k]
+    for n in range(9):
+        for a in range(k):
+            assert len(s.power_image(n, a)) == s.power_lengths(n)[a]
