@@ -26,7 +26,7 @@ from .recognition import (
 )
 from .renorm import MODES, convergence_study, renorm_power
 from .sampling import sample_configurations
-from .spectral import _charpoly, growth_decomposition, left_eigenvector
+from .spectral import growth_decomposition
 from .substitution import Substitution, kbonacci, require_kbonacci
 from .verify import run_all
 
@@ -47,15 +47,18 @@ MAX_LEVELS = 10**4
 
 class CsvWriter:
     def __init__(self, config_line: str):
-        self.buffer = io.StringIO()
-        self.buffer.write(f"# {config_line}\n")
+        self._buffer = io.StringIO()
+        self.comment(config_line)
+
+    def comment(self, text: str):
+        self._buffer.write(f"# {text}\n")
 
     def row(self, *cells):
         # np.float64 is a float, so it is formatted as one
-        self.buffer.write(",".join([f"{c:.12g}" if isinstance(c, float) else str(c) for c in cells]) + "\n")
+        self._buffer.write(",".join([f"{c:.12g}" if isinstance(c, float) else str(c) for c in cells]) + "\n")
 
     def dump(self, out_path: str | None):
-        text = self.buffer.getvalue()
+        text = self._buffer.getvalue()
         if out_path:
             with open(out_path, "w") as fh:
                 fh.write(text)
@@ -183,15 +186,14 @@ def cmd_recog(args, s: Substitution, w: CsvWriter) -> int:
 
 def cmd_spectral(args, s: Substitution, w: CsvWriter) -> int:
     growth = growth_decomposition(s)
-    lam = growth.lam
     w.row("quantity", "index", "value")
-    w.row("lambda", "", lam)
-    for l, value in enumerate(left_eigenvector(s.k, lam)):
+    w.row("lambda", "", growth.lam)
+    for l, value in enumerate(growth.v):
         w.row("v", l, float(value))
     for l, value in enumerate(growth.gamma):
         w.row("gamma", l, float(value))
     w.row("theta", "", growth.theta)
-    w.row("polynomial_residual", "", abs(_charpoly(s.k, lam)))
+    w.row("polynomial_residual", "", growth.residual)
     return EXIT_OK
 
 
@@ -219,15 +221,13 @@ def cmd_pressure(args, s: Substitution, w: CsvWriter) -> int:
     for beta, lo, hi in zip(curve.betas, curve.lows, curve.highs):
         w.row(s.k, args.alpha, args.depth, beta, lo, hi)
     if report.crossed:
-        w.buffer.write(
-            f"# beta_c={report.beta_c:.12g} bracket={report.bracket[0]:.12g}:"
-            f"{report.bracket[1]:.12g} statistic={report.statistic} tol={report.tol:.12g}\n"
+        w.comment(
+            f"beta_c={report.beta_c:.12g} bracket={report.bracket[0]:.12g}:"
+            f"{report.bracket[1]:.12g} statistic={report.statistic} tol={report.tol:.12g}"
         )
     else:
-        w.buffer.write(f"# no crossing at this depth (statistic={report.statistic} tol={report.tol:.12g})\n")
-    w.buffer.write(
-        f"# floor={curve.floor:.12g} convex={int(curve.is_convex)} monotone={int(curve.is_monotone)}\n"
-    )
+        w.comment(f"no crossing at this depth (statistic={report.statistic} tol={report.tol:.12g})")
+    w.comment(f"floor={curve.floor:.12g} convex={int(curve.is_convex)} monotone={int(curve.is_monotone)}")
     return EXIT_OK
 
 

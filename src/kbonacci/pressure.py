@@ -213,7 +213,7 @@ def find_beta_c(
     s: Substitution,
     V: Potential,
     n: int,
-    tol: float = DEFAULT_TOL,
+    tol: float,
     betas: np.ndarray | None = None,
     statistic: str = "raw",
 ) -> BetaCReport:

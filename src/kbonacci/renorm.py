@@ -29,7 +29,7 @@ from .recognition import (
     maximal_prefix,
     power_prefix,
 )
-from .spectral import left_eigenvector, perron_root
+from .spectral import _perron
 from .substitution import Substitution, require_kbonacci
 from .words import in_language
 
@@ -134,11 +134,15 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
     every alpha: the precision is 34 digits plus
     ceil(log10 b - log10(b - a) - log10(|1 - alpha| or 1)), when that is
     positive, counted from the logarithms of the integers, which do not
-    overflow as their float quotient can.  At
-    integral alpha a power x^-alpha is the exact integer power; otherwise
-    it is _exp(-alpha _ln(x)), and at alpha = 1 the integral ln(b / a) is
-    one _ln seeded with log(b) - log(a), so no integer past the largest
-    float becomes one.
+    overflow as their float quotient can.  Each end is converted once
+    and rounded to the precision, so past the conversion a long call
+    costs the precision and not the digits of its ends.  That moves an
+    end by half an ulp at most, each power by alpha times as much, and
+    the integral no more than the rounding of b f(b) and a f(a), or of
+    b / a, already does, which the cancellation digits cover.  At integral alpha a power x^-alpha is
+    the exact integer power; otherwise it is _exp(-alpha _ln(x)), and at
+    alpha = 1 the integral ln(b / a) is one _ln seeded with
+    log(b) - log(a), so no integer past the largest float becomes one.
 
     Both helpers are within 0.6 ulp of the working precision p.  _exp
     sums the Taylor series of e^(y / 2^m), |y / 2^m| <= 2^-h, until the
@@ -168,12 +172,12 @@ def _inverse_power_sum(alpha: float, lo: int, hi: int) -> float:
         ctx.prec = 34 + max(0, math.ceil(math.log10(hi) - math.log10(hi - a) - math.log10(abs(1.0 - alpha) or 1)))
         s = Decimal(alpha)
         if float(alpha).is_integer():
-            power = lambda d: Decimal(d) ** -s
+            power = lambda x, d: x ** -s
         else:
-            power = lambda d: _exp(-s * _ln(Decimal(d), math.log(d)))
-        total = sum(map(power, range(lo, a)))
-        A, B = Decimal(a), Decimal(hi)
-        fa, fb = power(a), power(hi)
+            power = lambda x, d: _exp(-s * _ln(x, math.log(d)))
+        total = sum(power(Decimal(d), d) for d in range(lo, a))  # d < 64: exact
+        A, B = +Decimal(a), +Decimal(hi)
+        fa, fb = power(A, a), power(B, hi)
         total += _ln(B / A, math.log(hi) - math.log(a)) if alpha == 1.0 else (B * fb - A * fa) / (1 - s)
         total += (fa + fb) / 2
         # f^(2j-1)(x) = -(s)_(2j-1) x^(-s-2j+1), (s)_m the rising factorial
@@ -282,12 +286,6 @@ def _sweep_breaks(s: Substitution, x: Configuration, n: int, word: str, count: i
 # -- the explicit fixed point ------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _perron_pair(k: int) -> tuple[float, tuple[float, ...]]:
-    lam = perron_root(k)
-    return lam, tuple(left_eigenvector(k, lam))
-
-
 def fixed_point_U(s: Substitution, x: Configuration) -> float:
     """The explicit fixed point of the renormalization operator.
 
@@ -301,7 +299,7 @@ def fixed_point_U(s: Substitution, x: Configuration) -> float:
 
 def _fixed_point_from(s: Substitution, w: str) -> float:
     """fixed_point_U given w = maximal_prefix(s, x)."""
-    lam, v = _perron_pair(s.k)
+    lam, v = _perron(s.k)
     x0 = int(w[0])
     denom = lam / (lam - 1.0) + sum(v_a * w.count(a) for v_a, a in zip(v, s.letters)) - v[x0]
     return math.log1p(v[x0] / denom)
@@ -374,7 +372,7 @@ def convergence_study(s: Substitution, V: Potential, x: Configuration, n_max: in
     U = 0.0 if w is None else _fixed_point_from(s, w)
     # a ratio within 2% of 1 counts as converging
     if rho > 1.02:
-        exponent = math.log(rho) / math.log(_perron_pair(s.k)[0])
+        exponent = math.log(rho) / math.log(_perron(s.k)[0])
         return ConvergenceStudy(V.alpha, tuple(rows), "diverges", None, exponent, U)
     if rho < 0.98:
         return ConvergenceStudy(V.alpha, tuple(rows), "vanishes", 0.0, None, U)

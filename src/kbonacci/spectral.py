@@ -9,6 +9,7 @@ that its first entry equals lambda, and the right one is (lambda^-i)_i.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -31,18 +32,18 @@ def perron_root(k: int) -> float:
     """Dominant root of X^k - sum_{j=0}^{k-1} X^j, in (1, 2).
 
     Bisection on [1, 2] (the polynomial is negative at 1, positive at 2
-    and monotone between) followed by a Newton polish.
+    and monotone between) until lo and hi are adjacent floats, whose
+    midpoint is one of them, followed by a Newton polish.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    lo, hi = 1.0, 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _charpoly(k, mid) < 0.0:
-            lo = mid
+    lo, hi, x = 1.0, 2.0, 1.5
+    while lo < x < hi:
+        if _charpoly(k, x) < 0.0:
+            lo = x
         else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+            hi = x
+        x = 0.5 * (lo + hi)
     for _ in range(8):
         step = _charpoly(k, x) / _charpoly_deriv(k, x)
         x -= step
@@ -63,6 +64,13 @@ def left_eigenvector(k: int, lam: float) -> np.ndarray:
     return v
 
 
+@functools.lru_cache(maxsize=None)
+def _perron(k: int) -> tuple[float, tuple[float, ...]]:
+    """(lambda, v), derived once per k: a float and a tuple, which no caller can change."""
+    lam = perron_root(k)
+    return lam, tuple(left_eigenvector(k, lam))
+
+
 def tribonacci_cardan() -> float:
     """Cardan closed form of the Tribonacci root (k = 3)."""
     a = (19.0 + 3.0 * math.sqrt(33.0)) ** (1.0 / 3.0)
@@ -72,11 +80,14 @@ def tribonacci_cardan() -> float:
 
 class GrowthDecomposition(NamedTuple):
     """|s^n(l)| = gamma_l lambda^n + r_l(n) with |r_l(n)| = O(theta^n):
-    the coefficients and the decay rate of the remainders."""
+    the coefficients, the decay rate of the remainders, the left eigenvector
+    v and the polynomial residual |lambda^k - sum_{j<k} lambda^j|."""
 
     lam: float
     gamma: np.ndarray                 # per letter
     theta: float                      # second-largest root modulus
+    v: np.ndarray                     # per letter, a fresh copy of the cached one
+    residual: float
 
 
 def growth_decomposition(s: Substitution) -> GrowthDecomposition:
@@ -85,18 +96,16 @@ def growth_decomposition(s: Substitution) -> GrowthDecomposition:
     the second-largest modulus among the roots of X^k - sum_{j<k} X^j.
     k-bonacci only."""
     require_kbonacci(s)
-    lam = perron_root(s.k)
-    v = left_eigenvector(s.k, lam)
+    lam, v = _perron(s.k)
+    v = np.array(v)
     gamma = lam * v / sum(v[i] / lam**i for i in range(s.k))
     theta = float(np.sort(np.abs(np.roots([1.0] + [-1.0] * s.k)))[-2])
-    return GrowthDecomposition(lam, gamma, theta)
+    return GrowthDecomposition(lam, gamma, theta, v, abs(_charpoly(s.k, lam)))
 
 
 def letter_frequencies(s: Substitution) -> np.ndarray:
-    """Letter frequencies of the unique invariant measure: the normalized
-    right Perron eigenvector of the incidence matrix."""
-    m = s.incidence().astype(float)
-    eigvals, eigvecs = np.linalg.eig(m)
-    idx = int(np.argmax(eigvals.real))
-    vec = np.abs(eigvecs[:, idx].real)
-    return vec / vec.sum()
+    """Letter frequencies of the unique invariant measure, mu_i = lambda^-(i+1):
+    the right eigenvector (lambda^-i)_i over its sum, lambda.  k-bonacci only."""
+    require_kbonacci(s)
+    lam = _perron(s.k)[0]
+    return np.array([lam ** -(i + 1) for i in range(s.k)])

@@ -30,7 +30,7 @@ from .renorm import (
     verify_fixed_point,
 )
 from .sampling import sample_configurations
-from .spectral import _charpoly, left_eigenvector, perron_root, tribonacci_cardan
+from .spectral import growth_decomposition, tribonacci_cardan
 from .substitution import Substitution, check_recurrence, require_kbonacci
 from .words import in_language
 
@@ -102,19 +102,17 @@ def suite_recognizability(s: Substitution) -> list[CheckResult]:
 
 def suite_spectral(s: Substitution) -> list[CheckResult]:
     rows = []
-    lam = perron_root(s.k)
-    residual = abs(_charpoly(s.k, lam))
-    rows.append(_result("spectral", "polynomial residual < 1e-12", residual < 1e-12, f"{residual:.2e}"))
-    v = left_eigenvector(s.k, lam)
+    g = growth_decomposition(s)
+    rows.append(_result("spectral", "polynomial residual < 1e-12", g.residual < 1e-12, f"{g.residual:.2e}"))
     m = s.incidence().astype(float)
-    eig = float(np.abs(v @ m - lam * v).max())
+    eig = float(np.abs(g.v @ m - g.lam * g.v).max())
     rows.append(_result("spectral", "left eigenvector residual < 1e-10", eig < 1e-10, f"{eig:.2e}"))
     if s.k == 3:
         rows.append(
             _result(
                 "spectral",
                 "Cardan closed form",
-                abs(lam - tribonacci_cardan()) < 1e-12,
+                abs(g.lam - tribonacci_cardan()) < 1e-12,
             )
         )
     return rows
@@ -148,8 +146,7 @@ def suite_pressure(s: Substitution) -> list[CheckResult]:
     exact = abs(lo - math.log(s.k)) < 1e-12 and abs(hi - math.log(s.k)) < 1e-12
     rows.append(_result("pressure", "exact at beta = 0", exact))
     rows.append(_result("pressure", "bracket ordered and nonnegative", 0.0 <= lo5 <= hi5))
-    lam = perron_root(s.k)
-    err = abs(overlap_ratios(s, 35)[30] - 1.0 / lam)
+    err = abs(overlap_ratios(s, 35)[30] - 1.0 / growth_decomposition(s).lam)
     rows.append(_result("pressure", "overlap ratio -> 1/lambda", err < 1e-6, f"{err:.2e}"))
     rows.append(_result("pressure", "bispecials = ladder (<= 120)", verify_ladder(s, 120)))
     return rows
@@ -177,8 +174,8 @@ SUITES: dict[str, Callable[[Substitution], list[CheckResult]]] = {
 }
 
 
-def run_all(s: Substitution, suites: list[str] | None = None) -> list[CheckResult]:
-    """Run the named suites (default: every suite that applies to s, the
+def run_all(s: Substitution, suites: list[str] | None) -> list[CheckResult]:
+    """Run the named suites (None: every suite that applies to s, the
     appendix only at k = 3) on a k-bonacci substitution."""
     require_kbonacci(s)
     names = suites or [name for name in SUITES if name != "appendix" or s.k == 3]

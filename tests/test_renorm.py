@@ -430,6 +430,19 @@ def _libmpdec_inverse_power_sum(alpha, lo, hi):
         return float(total)
 
 
+def _long_end_examples(test):
+    """@example rows with ends of 1,000 and 3,000 digits, b/a about 1.05,
+    1.3 and 1.6: each end enters rounded to the working precision.  At
+    alpha = 0.5, 1.5 and 2 the sum lies past the float range (inf or 0);
+    the alphas near 1 keep it inside."""
+    for digits, near_one in ((1000, (0.9, 1.1, 1.25)), (3000, (0.95, 1.05))):
+        lo = 10 ** (digits - 1)
+        for span in (lo // 20, 3 * lo // 10, 3 * lo // 5):
+            for alpha in (0.5, 1.0, 1.5, 2.0) + near_one:
+                test = example(alpha, lo, span)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(INVERSE_POWER_ALPHAS | st.integers(min_value=1, max_value=4).map(float),
        st.integers(min_value=1, max_value=10**12), st.integers(min_value=_DIRECT_SPAN + 1, max_value=10**9))
@@ -439,6 +452,7 @@ def _libmpdec_inverse_power_sum(alpha, lo, hi):
 @example(0.5, 10**400, _DIRECT_SPAN + 1)  # about 430 digits, for the integral's cancellation
 @example(1.5, 10**400, 10**399)  # hi = 11 * 10^399, both ends past the largest float
 @example(1.0, 10**400, 10**399)  # ln(hi / a) seeded with log(hi) - log(a)
+@_long_end_examples
 def test_inverse_power_sum_is_the_libmpdec_sum(alpha, lo, span):
     hi = lo + span
     assert _inverse_power_sum(alpha, lo, hi) == _libmpdec_inverse_power_sum(alpha, lo, hi)

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from kbonacci import (
+    Substitution,
     growth_decomposition,
     kbonacci,
     left_eigenvector,
@@ -12,6 +14,7 @@ from kbonacci import (
     tribonacci_cardan,
 )
 from kbonacci.cli import main
+from kbonacci.spectral import ROOT_TOL, _charpoly, _charpoly_deriv
 
 
 def test_perron_root_fibonacci(s2):
@@ -27,6 +30,29 @@ def test_polynomial_residual(k):
     lam = perron_root(k)
     assert abs(lam**k - sum(lam**j for j in range(k))) < 1e-12
     assert 1 < lam < 2
+
+
+def _perron_root_in_80_steps(k):
+    """perron_root as it was: 80 bisection steps, then the Newton polish."""
+    lo, hi = 1.0, 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _charpoly(k, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(8):
+        step = _charpoly(k, x) / _charpoly_deriv(k, x)
+        x -= step
+        if abs(step) < ROOT_TOL:
+            break
+    return x
+
+
+def test_perron_root_stops_where_80_steps_end():
+    # once the midpoint equals a bound, no later step moves either bound
+    assert all(perron_root(k) == _perron_root_in_80_steps(k) for k in range(2, 301))
 
 
 def test_left_eigenvector(s3):
@@ -91,6 +117,58 @@ def test_geometric_tail(s3):
     assert s3.ladder_length(9) == sum(len(s3.power_image(l, 0)) for l in range(10))
     g = growth_decomposition(s3)
     assert abs(s3.ladder_length(9) - g.gamma[0] * g.lam**10 / (g.lam - 1.0)) < 10
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_growth_decomposition_carries_v_and_the_residual(k):
+    g = growth_decomposition(kbonacci(k))
+    lam = perron_root(k)
+    assert g.lam == lam
+    assert np.array_equal(g.v, left_eigenvector(k, lam))
+    assert g.residual == abs(lam**k - sum(lam**j for j in range(k)))
+    g.v[0] = 0.0  # a fresh array: the cached pair under it does not move
+    assert np.array_equal(growth_decomposition(kbonacci(k)).v, left_eigenvector(k, lam))
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_letter_frequencies_are_the_normalized_eigenvector(k):
+    m = kbonacci(k).incidence().astype(float)
+    eigvals, eigvecs = np.linalg.eig(m)
+    vec = np.abs(eigvecs[:, int(np.argmax(eigvals.real))].real)
+    assert np.abs(letter_frequencies(kbonacci(k)) - vec / vec.sum()).max() < 1e-15
+
+
+def test_letter_frequencies_are_kbonacci_only():
+    with pytest.raises(ValueError):
+        letter_frequencies(Substitution(("01", "10")))
+
+
+def _calls(argv, functions, capsys):
+    """How often each of `functions` runs in one command, its caches cleared first."""
+    caches = [obj for name, module in sys.modules.items() if name.startswith("kbonacci.")
+              for obj in vars(module).values() if callable(getattr(obj, "cache_clear", None))]
+    for cache in caches:
+        cache.cache_clear()
+    codes = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        assert main(argv) == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    return counts
+
+
+def test_one_perron_derivation_per_command(capsys):
+    functions = (perron_root, left_eigenvector)
+    assert _calls(["verify", "--k", "3"], functions, capsys) == {"perron_root": 1, "left_eigenvector": 1}
+    assert _calls(["spectral", "--k", "3"], functions, capsys) == {"perron_root": 1, "left_eigenvector": 1}
 
 
 def test_letter_frequencies(s3):
